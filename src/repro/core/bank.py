@@ -143,7 +143,6 @@ class SketchBank:
         self.offset_mode = offset_mode
         self.max_sketches = max_sketches
         self._kernels = kernels
-        self._plan: Optional[ParameterPlan] = None
         self._sketches: List[QuantileFramework] = []
         # scratch reused across chunks by the partition step
         self._scratch_ids = np.empty(0, dtype=np.int64)
@@ -155,12 +154,10 @@ class SketchBank:
 
     @property
     def plan(self) -> ParameterPlan:
-        """The shared ``(b, k)`` plan (computed once, lazily)."""
-        if self._plan is None:
-            self._plan = optimal_parameters(
-                self.epsilon, self.design_n, policy=self.policy
-            )
-        return self._plan
+        """The shared ``(b, k)`` plan (memoized by the planner)."""
+        return optimal_parameters(
+            self.epsilon, self.design_n, policy=self.policy
+        )
 
     @property
     def n_sketches(self) -> int:

@@ -206,6 +206,18 @@ class FrugalBank:
         self._materialize_through(new_id)
         return new_id
 
+    def new_sketch(self) -> "FrugalSketch":
+        """Materialise one more sketch and return a live view of its row.
+
+        A fresh row holds the same state as a fresh one-row sketch, so
+        this is ``adopt(FrugalSketch(self.phis, seed=self.seed))``
+        without building a private bank and copying it in.
+        """
+        sketch = FrugalSketch.__new__(FrugalSketch)
+        sketch._bank = self
+        sketch._row = self.add_sketch()
+        return sketch
+
     def adopt(self, sketch: "FrugalSketch") -> int:
         """Move an externally built :class:`FrugalSketch` into the bank.
 
@@ -564,7 +576,8 @@ class FrugalSketch:
     Internally a one-row :class:`FrugalBank` (so the single-sketch and
     bank ingest paths share one kernel and are bit-identical by
     construction); :meth:`FrugalBank.adopt` re-points the sketch at a
-    shared bank row without changing its behaviour.
+    shared bank row without changing its behaviour, and
+    :meth:`FrugalBank.new_sketch` creates one directly on a bank row.
 
     Answers the full :class:`~repro.core.protocols.SketchProtocol`
     quartet.  ``error_bound()`` is ``inf`` -- this engine trades the

@@ -29,6 +29,7 @@ may be.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -52,6 +53,11 @@ __all__ = [
 NEW_POLICY_MAX_B = 40
 
 _MAX_HEIGHT = 64  # the accuracy constraint explodes well before this
+
+#: plans remembered by :func:`optimal_parameters`.  A plan is a pure
+#: function of ``(epsilon, N, policy)``, and a server creating thousands
+#: of metrics uses a handful of configurations, so each is planned once.
+PLAN_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -265,6 +271,15 @@ _OPTIMISERS = {
     "ars": _optimal_alsabti_ranka_singh,
 }
 
+_CANONICAL_POLICY = {"mp": "munro-paterson", "ars": "alsabti-ranka-singh"}
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
+def _cached_plan(epsilon: float, n: int, policy: str) -> ParameterPlan:
+    # typed: an np.float64 epsilon gets its own entry, so every caller
+    # receives exactly the plan the optimiser builds from its arguments
+    return _OPTIMISERS[policy](epsilon, n)
+
 
 def optimal_parameters(
     epsilon: float, n: int, *, policy: str = "new"
@@ -272,7 +287,9 @@ def optimal_parameters(
     """Minimise ``b * k`` for an ``epsilon``-approximate summary of ``n`` items.
 
     Reproduces the per-policy procedures of Sections 4.3-4.5 (and therefore
-    the ``b``/``k``/``bk`` entries of Table 1).
+    the ``b``/``k``/``bk`` entries of Table 1).  Plans are memoized on
+    ``(epsilon, n, policy)`` with aliases folded, so repeated calls return
+    the same frozen :class:`ParameterPlan`; invalid inputs raise every time.
     """
     _validate(epsilon, n)
     key = policy.lower().strip()
@@ -281,7 +298,7 @@ def optimal_parameters(
             f"unknown policy {policy!r}; expected one of "
             f"{sorted(set(_OPTIMISERS))}"
         )
-    return _OPTIMISERS[key](epsilon, n)
+    return _cached_plan(epsilon, n, _CANONICAL_POLICY.get(key, key))
 
 
 def best_over_policies(

@@ -76,6 +76,14 @@ _FINITE_MSG = (
 )
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # every engine records epsilon in its config, even frugal (which has
+    # no use for it); NaN would also break idempotent re-CREATE, whose
+    # config comparison needs epsilon == epsilon
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 class MetricEntry:
     """One named metric: configuration + live sketch + shard placement."""
 
@@ -155,10 +163,11 @@ class _Shard:
     them.
 
     Paper-engine fixed metrics are adopted into ``bank``; frugal metrics
-    into ``fbank`` (flat-array Frugal-2U state -- tens of bytes per
-    metric, one vectorised kernel pass per drain).  Both banks are
-    bit-identical to per-sketch feeding, which is what keeps journal
-    replay exact.
+    live on rows of ``fbank`` (flat-array Frugal-2U state -- tens of
+    bytes per metric, one vectorised kernel pass per drain): CREATE takes
+    a fresh row, restores adopt their rebuilt sketch into one.  Both
+    banks are bit-identical to per-sketch feeding, which is what keeps
+    journal replay exact.
     """
 
     __slots__ = ("bank", "fbank", "pending", "n_applied", "n_batches_applied")
@@ -275,6 +284,7 @@ class SketchRegistry:
 
     def _build_sketch(
         self,
+        shard_idx: int,
         kind: str,
         epsilon: float,
         n: Optional[int],
@@ -308,7 +318,8 @@ class SketchRegistry:
         if engine == "kll":
             return KLLSketch(eps=epsilon, seed=0)
         if engine == "frugal":
-            return FrugalSketch(phis=DEFAULT_BANK_PHIS, seed=0)
+            # born on a row of its shard's bank: nothing to copy in later
+            return self._shards[shard_idx].fbank.new_sketch()
         if kind == "fixed":
             design_n = DEFAULT_DESIGN_N if n is None else int(n)
             plan = optimal_parameters(epsilon, design_n, policy=policy)
@@ -355,6 +366,7 @@ class SketchRegistry:
         """
         if not name or "\n" in name:
             raise ConfigurationError(f"invalid metric name {name!r}")
+        _check_epsilon(epsilon)
         if kind not in _KINDS:
             raise ConfigurationError(
                 f"metric kind must be one of {_KINDS}, got {kind!r}"
@@ -392,7 +404,8 @@ class SketchRegistry:
                 )
             return existing, False
         sketch = self._build_sketch(
-            kind, epsilon, n, policy, engine, window_s, slide_s, decay_s
+            shard_of(name, self.n_shards),
+            kind, epsilon, n, policy, engine, window_s, slide_s, decay_s,
         )
         return (
             self._register(
@@ -434,6 +447,7 @@ class SketchRegistry:
 
         if not name or "\n" in name:
             raise ConfigurationError(f"invalid metric name {name!r}")
+        _check_epsilon(epsilon)
         if kind not in _KINDS:
             raise ConfigurationError(
                 f"metric kind must be one of {_KINDS}, got {kind!r}"

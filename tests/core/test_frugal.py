@@ -126,6 +126,21 @@ def test_adopt_preserves_history_and_future(stream):
     assert bank.n_of(row) == 6_000
 
 
+def test_new_sketch_is_a_fresh_adopted_sketch(stream):
+    """A row taken by ``new_sketch`` behaves exactly like a standalone
+    sketch adopted into the bank, through growth of the row arrays."""
+    built, adopted = FrugalBank(seed=3), FrugalBank(seed=3)
+    views = [built.new_sketch() for _ in range(9)]
+    solos = [FrugalSketch(DEFAULT_BANK_PHIS, seed=3) for _ in range(9)]
+    assert [adopted.adopt(sk) for sk in solos] == [v._row for v in views]
+    assert [v._row for v in views] == list(range(9))
+    ids = np.random.default_rng(1).integers(0, 9, 4_000)
+    built.extend(ids, stream[:4_000])
+    adopted.extend(ids, stream[:4_000])
+    for view, solo in zip(views, solos):
+        assert view.to_bytes() == solo.to_bytes()
+
+
 def test_adopt_rejects_mismatched_config():
     bank = FrugalBank(DEFAULT_BANK_PHIS, seed=0)
     with pytest.raises(ConfigurationError):

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.parameters import (
+    _OPTIMISERS,
+    _cached_plan,
     alsabti_ranka_singh_stats,
     best_over_policies,
     munro_paterson_stats,
@@ -222,3 +227,82 @@ class TestOptimisers:
             optimal_parameters(0.01, n, policy="new").memory for n in NS
         ]
         assert memories == sorted(memories)
+
+
+class TestMemoizedPlanner:
+    """``optimal_parameters`` is memoized; every plan must equal the raw
+    optimiser's, and a rejected input must never reach the cache."""
+
+    @pytest.mark.parametrize("policy", ["new", "mp", "ars"])
+    def test_table1_grid_equals_raw_optimiser(self, policy):
+        for eps in EPSILONS:
+            for n in NS:
+                plan = optimal_parameters(eps, n, policy=policy)
+                assert plan == _OPTIMISERS[policy](eps, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eps=st.floats(min_value=1e-5, max_value=0.999),
+        n=st.integers(min_value=1, max_value=10**10),
+        policy=st.sampled_from(sorted(_OPTIMISERS)),
+    )
+    def test_sweep_equals_raw_optimiser(self, eps, n, policy):
+        plan = optimal_parameters(eps, n, policy=policy)
+        assert plan == _OPTIMISERS[policy](eps, n)
+        assert optimal_parameters(eps, n, policy=policy) is plan
+
+    @pytest.mark.parametrize(
+        "spelling,canonical",
+        [
+            ("mp", "munro-paterson"),
+            ("MP", "munro-paterson"),
+            (" Munro-Paterson ", "munro-paterson"),
+            ("ars", "alsabti-ranka-singh"),
+            ("\tARS\n", "alsabti-ranka-singh"),
+            ("Alsabti-Ranka-Singh", "alsabti-ranka-singh"),
+            ("NEW ", "new"),
+        ],
+    )
+    def test_aliases_share_the_canonical_plan(self, spelling, canonical):
+        plan = optimal_parameters(0.01, 10**6, policy=spelling)
+        assert plan == _OPTIMISERS[canonical](0.01, 10**6)
+        assert plan.policy == canonical
+        assert plan is optimal_parameters(0.01, 10**6, policy=canonical)
+
+    def test_numpy_epsilon_gets_its_exact_plan(self):
+        eps = np.float64(0.005)
+        plan = optimal_parameters(eps, 10**7)
+        raw = _OPTIMISERS["new"](eps, 10**7)
+        assert plan == raw
+        # cached per argument type: the plan carries the caller's epsilon
+        assert repr(plan) == repr(raw)
+        assert repr(optimal_parameters(0.005, 10**7)) == repr(
+            _OPTIMISERS["new"](0.005, 10**7)
+        )
+
+    def test_repeated_call_returns_the_shared_frozen_plan(self):
+        first = optimal_parameters(0.02, 123_457, policy="new")
+        assert optimal_parameters(0.02, 123_457, policy="new") is first
+        with pytest.raises(AttributeError):
+            first.b = 1  # frozen: sharing one instance is safe
+
+    @pytest.mark.parametrize(
+        "eps,n,policy",
+        [
+            (0.0, 100, "new"),
+            (1.0, 100, "new"),
+            (1.5, 100, "mp"),
+            (-0.1, 100, "ars"),
+            (float("nan"), 100, "new"),
+            (0.1, 0, "new"),
+            (0.1, -5, "mp"),
+            (0.1, 100, "nope"),
+            (0.1, 100, "m p"),
+        ],
+    )
+    def test_invalid_inputs_raise_on_every_call(self, eps, n, policy):
+        misses = _cached_plan.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                optimal_parameters(eps, n, policy=policy)
+        assert _cached_plan.cache_info().misses == misses

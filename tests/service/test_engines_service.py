@@ -18,6 +18,7 @@ from repro.core.errors import (
     EngineMismatchError,
     StorageError,
 )
+from repro.core.frugal import DEFAULT_BANK_PHIS, FrugalSketch
 from repro.service import (
     ClusterClient,
     ClusterService,
@@ -134,6 +135,69 @@ class TestServiceEngines:
                 client.create("bad/2", kind="fixed", n=1000, engine="frugal")
             with pytest.raises(ConfigurationError):
                 client.create("bad/3", kind="fixed", engine="tdigest")
+
+    @pytest.mark.parametrize("engine", ["paper", "kll", "frugal"])
+    def test_create_rejects_epsilon_outside_unit_interval(
+        self, server, engine
+    ):
+        with client_for(server) as client:
+            for i, eps in enumerate([7.0, -1, 0, 1.0, float("nan")]):
+                with pytest.raises(ConfigurationError, match="epsilon"):
+                    client.create(f"bad/{i}", kind="fixed", eps=eps,
+                                  engine=engine)
+            assert client.list_metrics() == []
+            # the connection survives the error frames
+            assert client.create("ok", kind="fixed", engine=engine)
+
+    def test_frugal_in_bank_create_survives_growth_and_recovery(
+        self, tmp_path
+    ):
+        """Frugal CREATEs take rows of the shard bank directly: past
+        several bank growths, across a snapshot and a journal tail, the
+        wire bytes equal standalone sketches fed the same batches and
+        ``bank_id`` follows creation order."""
+        data_dir = str(tmp_path / "data")
+        rng = np.random.default_rng(5)
+        names = [f"f/{i:02d}" for i in range(40)]
+        solo = {}
+
+        def create_and_feed(client, wave):
+            for name in wave:
+                assert client.create(name, kind="fixed", engine="frugal")
+                solo[name] = FrugalSketch(DEFAULT_BANK_PHIS, seed=0)
+            for _ in range(2):
+                for name in rng.permutation(list(solo)):
+                    batch = rng.lognormal(3.0, 1.0, 32).round(2)
+                    client.ingest(name, batch)
+                    solo[name].extend(batch)
+
+        def check(srv, client):
+            registry = srv.service.registry
+            for i, name in enumerate(names):
+                assert registry.get(name).bank_id == i, name
+                assert client.fetch_raw(name) == solo[name].to_bytes(), name
+
+        srv = ServerThread(
+            data_dir=data_dir, n_shards=1, snapshot_interval_s=None
+        ).start()
+        try:
+            with client_for(srv) as client:
+                create_and_feed(client, names[:12])
+                client.snapshot()  # the first 12 recover via the snapshot
+                create_and_feed(client, names[12:])  # the rest via journal
+                client.drain()
+                check(srv, client)
+        finally:
+            srv.stop(graceful=False)
+
+        srv2 = ServerThread(
+            data_dir=data_dir, n_shards=1, snapshot_interval_s=None
+        ).start()
+        try:
+            with client_for(srv2) as client:
+                check(srv2, client)
+        finally:
+            srv2.stop(graceful=False)
 
     def test_mixed_engine_sigkill_recovery_bit_identical(self, tmp_path):
         """Kill with a mixed registry: snapshot v2 + journal tail replay

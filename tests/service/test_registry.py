@@ -12,6 +12,8 @@ from repro.service.registry import SketchRegistry, shard_of
 
 PHIS = [0.1, 0.5, 0.9]
 
+BAD_EPSILONS = [7.0, -1, 0, 1.0, float("nan")]
+
 
 class TestCreate:
     def test_create_and_get(self):
@@ -119,6 +121,33 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             registry.ingest("m", np.ones((3, 3)))
 
+    @pytest.mark.parametrize("engine", ["paper", "kll", "frugal"])
+    @pytest.mark.parametrize("eps", BAD_EPSILONS)
+    def test_create_rejects_epsilon_outside_unit_interval(self, engine, eps):
+        registry = SketchRegistry()
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            registry.create("m", kind="fixed", epsilon=eps, engine=engine)
+        assert "m" not in registry
+        # nothing half-built: no bank row was taken by the failed CREATE
+        assert all(len(s.fbank) == 0 for s in registry._shards)
+
+    @pytest.mark.parametrize("engine", ["paper", "kll", "frugal"])
+    @pytest.mark.parametrize("eps", BAD_EPSILONS)
+    def test_install_rejects_epsilon_outside_unit_interval(
+        self, engine, eps
+    ):
+        donor = SketchRegistry()
+        donor.create("m", kind="fixed", epsilon=0.05, engine=engine)
+        donor.ingest("m", np.arange(100, dtype=float))
+        payload = donor.fetch_serialized("m")
+        registry = SketchRegistry()
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            registry.install_serialized(
+                "m", kind="fixed", epsilon=eps, n=None, policy="new",
+                engine=engine, payload=payload,
+            )
+        assert "m" not in registry
+
     def test_empty_batch_is_noop(self):
         registry = SketchRegistry()
         registry.create("m", kind="adaptive")
@@ -166,3 +195,4 @@ class TestQueries:
         registry.create("m", kind="adaptive")
         with pytest.raises(ConfigurationError):
             registry.fetch_serialized("m")
+
