@@ -19,9 +19,10 @@ Five measurements, written to ``BENCH_service.json``:
   off (zero faults injected), to price the retry layer itself: token
   generation, the unacked-request window, and the server-side dedup
   lookup.  Gated at <= 5% overhead.
-* ``scaling``    -- the multi-process cluster
-  (:class:`~repro.service.cluster.ClusterService`) at 1, 2, ... worker
-  processes, each blasted by its own driver process.  The >1.6x
+* ``scaling``    -- a local replication-1 cluster
+  (:class:`~repro.cluster.ClusterCoordinator`, what ``serve --workers N``
+  runs) at 1, 2, ... node processes, each blasted by its own driver
+  process that dials its metrics' ring owner directly.  The >1.6x
   two-worker speedup gate only applies when the recorded *effective*
   CPU affinity (``meta.effective_cpus``, from ``sched_getaffinity`` --
   not ``cpu_count``, which lies inside cgroup-limited containers) is
@@ -29,9 +30,10 @@ Five measurements, written to ``BENCH_service.json``:
   honest numbers with ``gate_applicable: false``.
 * ``cluster``    -- the multi-node consistent-hash cluster
   (:mod:`repro.cluster`) under the same conditions, at nodes x R
-  configs.  Gated: the 1-node/R=1 config must reach >= 0.8x of the
-  1-worker ``ClusterService`` rate -- the price of ring routing and
-  the cluster client's replication plumbing with replication off.
+  configs, driven through :class:`~repro.cluster.ClusterClient`.
+  Gated: the 1-node/R=1 config must reach >= 0.8x of the 1-node
+  direct-dial ``scaling`` rate -- the price of ring routing and the
+  cluster client's replication plumbing with replication off.
   The R=2 rows record what paying for availability costs (every
   logical element is written to two nodes).
 * ``rebalance``  -- ingest throughput on a 3-node R=2 journal-backed
@@ -203,10 +205,10 @@ def _scaling_driver(
     batch: int,
     conn,
 ) -> None:
-    """One driver process: blast pipelined ingest at one cluster worker.
+    """One driver process: blast pipelined ingest at one cluster node.
 
     Regenerates the shared schedule from the same seed and keeps only
-    the batches of the metrics this driver's worker owns, so the union
+    the batches of the metrics this driver's node owns, so the union
     of all drivers is exactly the single-process workload.  Handshake:
     send ``("ready", n_elements)`` after creates, wait for ``"go"``,
     then send ``("done", seconds)`` after flush + drain.
@@ -234,44 +236,48 @@ def _scaling_driver(
 def bench_scaling(
     total_elements: int, batch: int, workers: int, rounds: int
 ) -> Dict[str, object]:
-    """Aggregate ingest throughput of a *workers*-process cluster.
+    """Aggregate ingest throughput of a *workers*-node R=1 cluster.
 
     Unlike ``bench_service`` (client thread and server thread share one
     process), every driver here is a separate OS process, so the
     measurement isolates server-side parallelism: wall time runs from
     the moment all drivers are connected and armed to the last drain.
+    Each driver dials its metrics' ring owner directly, bypassing the
+    cluster client, so ``workers=1`` is the reference the ``cluster``
+    section's routing layer is priced against.
     """
     import multiprocessing
 
-    from repro.service import ClusterService
-    from repro.service.registry import shard_of
+    from repro.cluster import ClusterCoordinator
 
     names = [f"bench/m{i}" for i in range(N_METRICS)]
     ctx = multiprocessing.get_context("spawn")
     best = float("inf")
     elements = 0
     for _ in range(rounds):
-        with ClusterService(
-            workers=workers,
+        with ClusterCoordinator(
+            nodes=workers,
+            replication=1,
             n_shards=4,
             snapshot_interval_s=None,
             batch_window_s=BATCH_WINDOW_S,
             observability=False,
-        ) as cluster:
+        ) as coord:
+            ring = coord.manifest.ring()
             conns = []
             procs = []
-            for w in range(workers):
+            for spec in coord.manifest.nodes:
                 own = {
                     i
                     for i, name in enumerate(names)
-                    if shard_of(name, workers) == w
+                    if ring.owner(name) == spec.id
                 }
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_scaling_driver,
                     args=(
-                        "127.0.0.1",
-                        cluster.ports[w],
+                        spec.host,
+                        spec.port,
                         own,
                         total_elements,
                         batch,
@@ -316,7 +322,7 @@ def _cluster_driver(
 ) -> None:
     """One driver process: pipelined replicated ingest via ClusterClient.
 
-    Unlike ``_scaling_driver`` (which dials one worker directly and
+    Unlike ``_scaling_driver`` (which dials one node directly and
     pre-shards the metric list), this drives the real routing layer:
     the consistent-hash ring decides placement, and every batch is
     replicated to its metric's R owners.  The client-side routing cost
@@ -362,10 +368,11 @@ def bench_cluster(
 
     Ephemeral nodes (no journals), obs off, same coalescing -- the same
     conditions as the ``scaling`` section, so ``nodes=1, R=1`` is
-    directly comparable to ``scaling.by_workers["1"]`` and the gap is
-    the routing layer alone.  ``elements`` counts *logical* elements;
-    at R=2 every one of them is written twice, so the per-node rate
-    already prices the replication overhead.
+    directly comparable to ``scaling.by_workers["1"]`` (the same node
+    dialled directly) and the gap is the routing layer alone.
+    ``elements`` counts *logical* elements; at R=2 every one of them is
+    written twice, so the per-node rate already prices the replication
+    overhead.
     """
     import multiprocessing
 
@@ -676,10 +683,10 @@ def main(argv=None) -> int:
         "target_speedup_at_2_workers": 1.6,
     }
 
-    # the multi-node cluster (repro.cluster): same ephemeral, obs-off
-    # conditions as ``scaling``, so nodes=1/R=1 isolates the
-    # consistent-hash routing layer against by_workers["1"], and R=2
-    # prices replication (every logical element written twice)
+    # the cluster client over the same clusters: nodes=1/R=1 isolates
+    # the consistent-hash routing layer against the direct-dial
+    # by_workers["1"], and R=2 prices replication (every logical
+    # element written twice)
     cluster_configs = (
         [(1, 1), (2, 1), (2, 2)]
         if args.quick
@@ -795,8 +802,8 @@ def main(argv=None) -> int:
             f"({entry['elements_per_s_per_node']:,} per node)"
         )
     print(
-        f"cluster gate: 1x1 reaches {cluster_ratio}x of the 1-worker "
-        f"ClusterService (target >= 0.8x)"
+        f"cluster gate: 1x1 reaches {cluster_ratio}x of the 1-node "
+        f"direct-dial rate (target >= 0.8x)"
     )
     print(
         f"rebalance (3x2, batch {scaling_batch}): baseline "

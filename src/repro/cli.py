@@ -103,6 +103,9 @@ _GENERATORS = {
     "alternating": lambda n, seed: alternating_extremes_stream(n),
 }
 
+#: seconds between node health sweeps of a supervised cluster
+_HEALTH_INTERVAL_S = 1.0
+
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     for policy in ("new", "munro-paterson", "alsabti-ranka-singh"):
@@ -225,46 +228,17 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from .service import ClusterService
-
-    if args.chaos:
-        print(
-            "error: --chaos fronts a single listener; use --workers 1",
-            file=sys.stderr,
-        )
-        return 1
-    cluster = ClusterService(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        data_dir=args.data_dir,
-        n_shards=args.shards,
-        snapshot_interval_s=(
+def _service_kwargs(args: argparse.Namespace) -> dict:
+    """``QuantileService`` kwargs from the options ``serve`` and
+    ``cluster serve`` share."""
+    return {
+        "n_shards": args.shards,
+        "snapshot_interval_s": (
             None if args.snapshot_interval <= 0 else args.snapshot_interval
         ),
-        fsync=args.fsync,
-        batch_window_s=args.batch_window,
-    )
-    cluster.start()
-    durability = f"data_dir={args.data_dir}" if args.data_dir else "ephemeral"
-    ports = ",".join(str(p) for p in cluster.ports)
-    print(
-        f"repro cluster listening on {args.host}:[{ports}] "
-        f"({args.workers} workers x {args.shards} shards, {durability}); "
-        f"metric -> worker routing is crc32(name) % {args.workers}",
-        flush=True,
-    )
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    stop.wait()
-    print("shutting down cluster (graceful)", flush=True)
-    cluster.stop(graceful=True)
-    return 0
+        "fsync": args.fsync,
+        "batch_window_s": args.batch_window,
+    }
 
 
 def _file_clock(path: str):
@@ -297,8 +271,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import ChaosProxy, FaultSchedule, QuantileService
 
+    watch_interval_s = (
+        None if args.watch_interval <= 0 else args.watch_interval
+    )
     if args.workers > 1:
-        return _cmd_serve_cluster(args)
+        return _serve_workers(args, watch_interval_s)
 
     # under --chaos the service binds an ephemeral port and a seeded
     # fault-injecting proxy takes the public one, so every client
@@ -307,16 +284,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=0 if args.chaos else args.port,
         data_dir=args.data_dir,
-        n_shards=args.shards,
-        snapshot_interval_s=(
-            None if args.snapshot_interval <= 0 else args.snapshot_interval
-        ),
-        fsync=args.fsync,
-        batch_window_s=args.batch_window,
-        watch_interval_s=(
-            None if args.watch_interval <= 0 else args.watch_interval
-        ),
+        watch_interval_s=watch_interval_s,
         clock=_file_clock(args.clock_file) if args.clock_file else None,
+        **_service_kwargs(args),
     )
 
     async def _run() -> None:
@@ -356,6 +326,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(_run())
     return 0
+
+
+def _serve_workers(
+    args: argparse.Namespace, watch_interval_s: Optional[float]
+) -> int:
+    """``serve --workers N``: a local N-node cluster with replication 1.
+
+    Node *i* listens on ``--port + i``; the data dir holds the cluster
+    manifest and one ``node-<i>`` durability dir per node.
+    """
+    from .cluster import ClusterCoordinator
+
+    # the chaos proxy fronts a single listener, and the file clock is a
+    # closure that cannot be pickled across the node spawn
+    for flag, given in (
+        ("--chaos", args.chaos),
+        ("--clock-file", args.clock_file),
+    ):
+        if given:
+            print(
+                f"error: {flag} needs a single server process; "
+                f"use --workers 1",
+                file=sys.stderr,
+            )
+            return 1
+    return _run_cluster(
+        ClusterCoordinator(
+            nodes=args.workers,
+            replication=1,
+            host=args.host,
+            base_port=args.port,
+            data_dir=args.data_dir,
+            health_interval_s=_HEALTH_INTERVAL_S,
+            watch_interval_s=watch_interval_s,
+            **_service_kwargs(args),
+        )
+    )
 
 
 def _client_values(args: argparse.Namespace) -> "object":
@@ -497,38 +504,41 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
+    from .cluster import ClusterCoordinator
+
+    return _run_cluster(
+        ClusterCoordinator(
+            nodes=args.nodes,
+            replication=args.replication,
+            host=args.host,
+            base_port=args.base_port,
+            data_dir=args.data_dir,
+            vnodes=args.vnodes,
+            health_interval_s=(
+                args.health_interval if args.health_interval > 0 else None
+            ),
+            **_service_kwargs(args),
+        )
+    )
+
+
+def _run_cluster(coord) -> int:
+    """Start *coord*, serve until SIGINT/SIGTERM, then drain gracefully."""
     import signal
     import threading
 
-    from .cluster import ClusterCoordinator
-
-    coord = ClusterCoordinator(
-        nodes=args.nodes,
-        replication=args.replication,
-        host=args.host,
-        base_port=args.base_port,
-        data_dir=args.data_dir,
-        vnodes=args.vnodes,
-        health_interval_s=(
-            args.health_interval if args.health_interval > 0 else None
-        ),
-        n_shards=args.shards,
-        snapshot_interval_s=(
-            None if args.snapshot_interval <= 0 else args.snapshot_interval
-        ),
-        fsync=args.fsync,
-        batch_window_s=args.batch_window,
-    )
     coord.start()
-    durability = f"data_dir={args.data_dir}" if args.data_dir else "ephemeral"
+    durability = (
+        f"data_dir={coord.data_dir}" if coord.data_dir else "ephemeral"
+    )
     ports = ",".join(str(p) for p in coord.ports)
     manifest = coord.manifest_path or "(in-memory)"
     print(
-        f"repro cluster of {args.nodes} nodes listening on "
-        f"{args.host}:[{ports}] (replication={args.replication}, "
+        f"repro cluster of {coord.n_nodes} nodes listening on "
+        f"{coord.host}:[{ports}] (replication={coord.replication}, "
         f"epoch={coord.epoch}, {durability})\n"
         f"manifest: {manifest}; routing: consistent hash ring, "
-        f"{args.vnodes} vnodes/node",
+        f"{coord.vnodes} vnodes/node",
         flush=True,
     )
     stop = threading.Event()
@@ -563,14 +573,18 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     if args.prom:
         # the same gauges the coordinator publishes, derived from a
         # live probe so any scraper can watch ring health from outside
+        from .cluster import publish_ring_gauges
         from .obs import MetricsRegistry, render_prometheus
 
         reg = MetricsRegistry()
-        reg.gauge("cluster.nodes_up").set(n_up)
-        reg.gauge("cluster.nodes_syncing").set(n_syncing)
-        reg.gauge("cluster.nodes_total").set(len(rows))
-        reg.gauge("cluster.replication").set(manifest.replication)
-        reg.gauge("cluster.epoch").set(manifest.epoch)
+        publish_ring_gauges(
+            reg,
+            nodes_up=n_up,
+            nodes_syncing=n_syncing,
+            nodes_total=len(rows),
+            replication=manifest.replication,
+            epoch=manifest.epoch,
+        )
         for row in rows:
             reg.gauge("cluster.node_up", node=row["id"]).set(
                 1 if row["alive"] else 0
@@ -1009,9 +1023,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes; >1 runs one full service per process, "
-            "worker i on port+i, metrics routed by crc32(name) mod N "
-            "(per-metric state stays bit-identical to a single process)"
+            "worker processes; >1 runs a local cluster with "
+            "replication 1 (the 'cluster serve' code path): worker i "
+            "on port+i, metrics placed by the consistent-hash ring, "
+            "per-metric state bit-identical to a single process"
         ),
     )
     serve.add_argument(
@@ -1284,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl_serve.add_argument(
         "--health-interval",
         type=float,
-        default=1.0,
+        default=_HEALTH_INTERVAL_S,
         help="seconds between node health sweeps; <= 0 disables",
     )
     cl_serve.add_argument(

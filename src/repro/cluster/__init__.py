@@ -21,7 +21,7 @@ semantics and the certified-bound argument for fan-in.
 """
 
 from .client import ClusterClient, merge_tagged
-from .coordinator import ClusterCoordinator
+from .coordinator import ClusterCoordinator, publish_ring_gauges
 from .errors import (
     ClusterConfigError,
     ClusterError,
@@ -36,6 +36,7 @@ from .sync import MetricSyncReport, NodeSyncReport, SyncDriver, delta_donor
 __all__ = [
     "ClusterClient",
     "ClusterCoordinator",
+    "publish_ring_gauges",
     "ClusterManifest",
     "NodeSpec",
     "HashRing",

@@ -2,13 +2,13 @@
 
 Each node is a **complete** :class:`~repro.service.server.QuantileService`
 process -- own event loop, own shards, own journal + snapshot pair under
-``data_dir/node-<i>`` -- spawned through the same module-level worker
-entry point the single-machine :class:`~repro.service.cluster
-.ClusterService` uses (``_worker_main``: spawn context, pipe handshake,
-SIGTERM = graceful drain).  What the coordinator adds over that class is
-*topology*: every node knows its ``node_id`` and the manifest ``epoch``
-it was launched under (reported via the ``PING`` opcode), placement is a
-consistent-hash ring instead of ``crc32 % N``, and liveness is tracked.
+``data_dir/node-<i>`` -- spawned through the module-level entry point
+``_worker_main`` (spawn context, pipe handshake, SIGTERM = graceful
+drain).  Every node knows its ``node_id`` and the manifest ``epoch`` it
+was launched under (reported via the ``PING`` opcode), placement is a
+consistent-hash ring, and liveness is tracked.  ``repro serve --workers
+N`` is this class with ``replication=1``: N processes on one host, each
+metric on exactly one of them.
 
 Supervision model -- *mark down, re-sync before rejoining*: a node that
 dies is marked ``down`` (manifest status, ``epoch`` bump, Prometheus
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -47,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..core.errors import StorageError
 from ..obs import hooks as obs_hooks
 from ..obs.exposition import render_prometheus
-from ..service.cluster import _worker_main
+from ..obs.metrics import MetricsRegistry
 from .client import ClusterClient
 from .errors import ClusterConfigError, ClusterSyncError
 from .manifest import (
@@ -58,7 +59,72 @@ from .manifest import (
 from .ring import DEFAULT_VNODES, HashRing, ownership_delta
 from .sync import NodeSyncReport, SyncDriver, delta_donor
 
-__all__ = ["ClusterCoordinator"]
+__all__ = ["ClusterCoordinator", "publish_ring_gauges"]
+
+
+def _worker_main(
+    worker_id: int,
+    host: str,
+    port: int,
+    data_dir: Optional[str],
+    conn: "multiprocessing.connection.Connection",
+    service_kwargs: Dict[str, Any],
+) -> None:
+    """Entry point of one worker process (spawn-safe, module level).
+
+    Runs a complete :class:`QuantileService` -- own event loop, own
+    shards, own journal -- reports the bound port (ephemeral when the
+    cluster asked for port 0) back over *conn*, then serves until
+    SIGTERM/SIGINT, which triggers the same graceful drain a
+    single-process server performs: apply queued batches, final
+    snapshot, close the journal.
+    """
+    import asyncio
+
+    from ..service.server import QuantileService
+
+    service = QuantileService(
+        host=host, port=port, data_dir=data_dir, **service_kwargs
+    )
+
+    async def _run() -> None:
+        try:
+            await service.start()
+        except BaseException as exc:  # noqa: BLE001 - shipped to parent
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.close()
+            raise
+        conn.send(("ready", service.port))
+        conn.close()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
+        await stop.wait()
+        await service.stop(graceful=True)
+
+    asyncio.run(_run())
+
+
+def publish_ring_gauges(
+    reg: MetricsRegistry,
+    *,
+    nodes_up: int,
+    nodes_syncing: int,
+    nodes_total: int,
+    replication: int,
+    epoch: int,
+) -> None:
+    """Set the ``cluster.*`` ring-health gauges in *reg*.
+
+    The one publisher of these gauges: the coordinator feeds it its
+    manifest view, ``repro cluster status --prom`` a live probe.
+    """
+    reg.gauge("cluster.nodes_up").set(nodes_up)
+    reg.gauge("cluster.nodes_syncing").set(nodes_syncing)
+    reg.gauge("cluster.nodes_total").set(nodes_total)
+    reg.gauge("cluster.replication").set(replication)
+    reg.gauge("cluster.epoch").set(epoch)
 
 
 def _node_id(index: int) -> str:
@@ -102,9 +168,9 @@ class ClusterCoordinator:
 
     A restart over an existing ``data_dir`` must present the same node
     count, replication and vnodes (placement and replica sets would
-    otherwise shift away from the journals on disk -- refused, same
-    discipline as ``ClusterService``'s worker pin); the manifest epoch
-    increments on every restart and every membership change.
+    otherwise shift away from the journals on disk -- refused); the
+    manifest epoch increments on every restart and every membership
+    change.
     """
 
     def __init__(
@@ -663,14 +729,15 @@ class ClusterCoordinator:
 
     def _publish_obs(self) -> None:
         reg = obs_hooks.registry()
-        n_up = len(self.manifest.live_ids()) if self.manifest else 0
-        n_syncing = len(self.manifest.syncing_ids()) if self.manifest else 0
-        n_total = len(self.manifest.nodes) if self.manifest else self.n_nodes
-        reg.gauge("cluster.nodes_up").set(n_up)
-        reg.gauge("cluster.nodes_syncing").set(n_syncing)
-        reg.gauge("cluster.nodes_total").set(n_total)
-        reg.gauge("cluster.replication").set(self.replication)
-        reg.gauge("cluster.epoch").set(self.epoch)
+        manifest = self.manifest
+        publish_ring_gauges(
+            reg,
+            nodes_up=len(manifest.live_ids()) if manifest else 0,
+            nodes_syncing=len(manifest.syncing_ids()) if manifest else 0,
+            nodes_total=len(manifest.nodes) if manifest else self.n_nodes,
+            replication=self.replication,
+            epoch=self.epoch,
+        )
         for name, value in (
             ("cluster.node_deaths", self.node_deaths),
             ("cluster.resyncs", self.resyncs),

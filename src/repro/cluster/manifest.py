@@ -24,11 +24,7 @@ every membership/status change and on coordinator restart; clients and
 PING responses carry it so stale topology is detectable.
 
 The file is written atomically (tmp + ``os.replace``), same discipline
-as the service snapshots.  Note the single-machine
-:class:`~repro.service.cluster.ClusterService` also keeps a
-``cluster.json`` (just ``{"workers": N}``) in *its* data dir -- the
-loader here detects that shape and says so rather than failing
-cryptically.
+as the service snapshots.
 """
 
 from __future__ import annotations
@@ -174,12 +170,6 @@ class ClusterManifest:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ClusterManifest":
-        if "nodes" not in raw and "workers" in raw:
-            raise ClusterConfigError(
-                "this cluster.json pins a single-machine ClusterService "
-                "worker count, not a multi-node manifest; point the "
-                "cluster tools at the coordinator's data dir instead"
-            )
         version = raw.get("version")
         if version != MANIFEST_VERSION:
             raise ClusterConfigError(

@@ -6,8 +6,8 @@ continuing the walk until ``r`` *distinct* nodes are collected, so
 replicas are always different machines no matter how the virtual points
 interleave.
 
-Why this construction (and not ``crc32(name) % N``, which the
-single-machine :class:`~repro.service.cluster.ClusterService` uses):
+Why this construction (and not mod-N routing such as
+``crc32(name) % N``):
 
 * **Minimal movement.**  Adding or removing one node only reassigns the
   keys whose clockwise walk hit that node's points -- an expected

@@ -25,7 +25,6 @@ journal tails).
 """
 
 from .client import QuantileClient
-from .cluster import ClusterClient, ClusterService
 from .errors import ServiceConnectionError, ServiceError, ServiceTimeoutError
 from .faults import ChaosProxy, FaultEvent, FaultSchedule
 from .journal import IngestJournal, JournalRecord, read_journal
@@ -38,8 +37,6 @@ __all__ = [
     "QuantileClient",
     "QuantileService",
     "ServerThread",
-    "ClusterService",
-    "ClusterClient",
     "SketchRegistry",
     "MetricEntry",
     "DedupWindow",

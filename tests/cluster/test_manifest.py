@@ -97,12 +97,12 @@ class TestValidation:
             ClusterManifest.from_dict(raw)
 
     def test_detects_cluster_service_shape(self, tmp_path):
-        """The single-machine ClusterService's cluster.json ({"workers":
-        N}) must produce a pointed error, not a KeyError."""
+        """The old ``{"workers": N}`` worker-count pin is not a manifest:
+        it fails with the typed version error, not a KeyError."""
         path = manifest_path(str(tmp_path))
         with open(path, "w") as fh:
             json.dump({"workers": 4}, fh)
-        with pytest.raises(ClusterConfigError, match="ClusterService"):
+        with pytest.raises(ClusterConfigError, match="version"):
             ClusterManifest.load(path)
 
     def test_malformed_files(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Mixed-engine service paths: wire compat, SIGKILL recovery, cluster fold.
+"""Mixed-engine service paths: wire compat and SIGKILL recovery.
 
 Non-paper engines flow through every durability layer -- protocol
 CREATE, journal CREATE, snapshot v2 -- as an optional trailing engine
@@ -13,18 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.engines import engine_of
-from repro.core.errors import (
-    ConfigurationError,
-    EngineMismatchError,
-    StorageError,
-)
+from repro.core.errors import ConfigurationError, StorageError
 from repro.core.frugal import DEFAULT_BANK_PHIS, FrugalSketch
-from repro.service import (
-    ClusterClient,
-    ClusterService,
-    QuantileClient,
-    ServerThread,
-)
+from repro.service import QuantileClient, ServerThread
 from repro.service import protocol
 from repro.service.journal import IngestJournal, read_journal
 from repro.service.protocol import Opcode, Request
@@ -267,34 +258,3 @@ class TestServiceEngines:
                     assert client.fetch_raw(name) == want, name
         finally:
             srv2.stop(graceful=False)
-
-
-class TestClusterEngines:
-    def test_kll_fold_and_mixed_engine_mismatch(self, tmp_path):
-        """`fetch_merged` folds same-engine KLL metrics across workers
-        and raises the typed mismatch error across engines."""
-        rng = np.random.default_rng(5)
-        data = {f"k/m{i}": rng.normal(size=4_000) for i in range(3)}
-        with ClusterService(
-            workers=2, n_shards=1, snapshot_interval_s=None
-        ) as svc:
-            with ClusterClient("127.0.0.1", svc.ports) as client:
-                for name in data:
-                    client.create(name, kind="fixed", epsilon=0.02,
-                                  engine="kll")
-                client.create("k/frugal", kind="fixed", engine="frugal")
-                for name, values in data.items():
-                    client.ingest(name, values)
-                client.ingest("k/frugal", rng.normal(size=500))
-                client.drain()
-
-                merged = client.fetch_merged(list(data))
-                union = np.concatenate(list(data.values()))
-                assert merged.n == union.size
-                est = merged.quantile(0.5)
-                true_rank = np.searchsorted(np.sort(union), est)
-                assert abs(true_rank - 0.5 * union.size) \
-                    <= merged.error_bound()
-
-                with pytest.raises(EngineMismatchError):
-                    client.fetch_merged(["k/m0", "k/frugal"])
