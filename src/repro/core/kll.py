@@ -211,6 +211,13 @@ class KLLSketch:
         buf = arr if len(level0) == 0 else np.concatenate([level0, arr])
         self._levels[0] = buf
         self._settle()
+        # Engines copy what they keep: the residue left at level 0 may be
+        # the caller's array or a view into it (the server hands over
+        # zero-copy views of whole socket reads), so keep a private copy
+        # of just the residue -- never alias or pin ingest memory.
+        rest = self._levels[0]
+        if rest is arr or rest.base is not None:
+            self._levels[0] = rest.copy()
 
     def insert(self, value: float) -> None:
         """Ingest one element."""

@@ -13,6 +13,8 @@ registry (:mod:`repro.analysis.memory` accounting).
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
@@ -31,6 +33,9 @@ _RATE_WINDOW_S = 10.0
 
 #: buffered observations per stream before a vectorised sketch flush
 _FLUSH_AT = 1024
+
+#: ``ru_maxrss`` unit: KiB on Linux, bytes on macOS
+_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
 
 
 class ServiceMetrics:
@@ -188,16 +193,28 @@ class ServiceMetrics:
             if sketch.n
         }
         reg = obs_hooks.registry()
+        # measured, not analytic: the process's peak resident set,
+        # refreshed whenever STATS (and with it Prometheus) is rendered
+        reg.gauge("service.process.peak_rss_bytes").set(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            * _MAXRSS_SCALE
+        )
         counters = {
             name: int(reg.total(name))
             for name in reg.names()
             if reg.kind_of(name) == "counter"
+        }
+        gauges = {
+            name: reg.total(name)
+            for name in reg.names()
+            if reg.kind_of(name) == "gauge"
         }
         return {
             "enabled": obs_hooks.is_enabled(),
             "metrics": metrics_detail,
             "op_latency_ms": op_latency,
             "counters": counters,
+            "gauges": gauges,
         }
 
     def to_dict(

@@ -22,11 +22,14 @@ one implementation.  Sketch payloads (the ``FETCH`` response) reuse
 Zero-copy fast path: :func:`decode_request` accepts any buffer
 (``bytes``, ``bytearray``, ``memoryview``) and decodes ``INGEST`` value
 arrays as read-only ``np.frombuffer`` views *into that buffer* -- no
-per-batch copy.  The view pins the receive buffer until the batch is
-applied, which is exactly the lifetime the server's shard queues give
-it.  On the sending side :func:`encode_ingest_framed` assembles the
-entire length-prefixed frame in one preallocated buffer, so a batch is
-copied exactly once between the caller's array and the socket.
+per-batch copy.  A view pins its whole receive buffer (a socket read of
+up to 4 MiB) for as long as anything references it, so the ownership
+rule is: a view may live in the shard queue until its batch is applied,
+and engines copy whatever ingest data they keep beyond that call
+(``tests/core/test_no_aliasing.py``).  On the sending side
+:func:`encode_ingest_framed` assembles the entire length-prefixed frame
+in one preallocated buffer, so a batch is copied exactly once between
+the caller's array and the socket.
 """
 
 from __future__ import annotations
@@ -245,9 +248,10 @@ class _Reader:
 
     def f64_array_view(self, count: int, what: str) -> np.ndarray:
         """Like :meth:`f64_array` but zero-copy: a read-only view into the
-        frame buffer.  The returned array pins the buffer alive; callers
-        must not outlive the buffer's validity window (receive buffers
-        here are immutable ``bytes`` chunks, so any lifetime is safe)."""
+        frame buffer.  The returned array keeps the *whole* buffer alive
+        -- for the server, an entire socket read -- so its lifetime is a
+        memory cost, not just a validity question: hold it only until
+        the batch is applied, and copy anything kept longer."""
         size = 8 * count
         end = self.pos + size
         if end > len(self.buf):

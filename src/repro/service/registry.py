@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import time
 import zlib
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -202,9 +202,19 @@ class DedupWindow:
     rotation fall out of the journal; together with the FIFO capacity
     bound this makes the guarantee a *window* -- ample for retry
     horizons of seconds against snapshot intervals of tens of seconds.
+
+    The layout is compact because a busy server keeps the window full.
+    A response dict is stored as the tuple ``(field names, *values)``,
+    its field-name tuple shared by every response of the same shape, and
+    ``get`` rebuilds a fresh dict; any other response is stored as
+    ``(None, response)``.  Eviction order is a deque of tokens beside a
+    plain dict instead of an ``OrderedDict``.  Re-recording a live token
+    moves it to the back of that queue -- an O(window) scan, but the
+    server only records tokens it just missed, so that happens at most
+    on journal replay of a duplicated token.
     """
 
-    __slots__ = ("capacity", "_entries", "hits")
+    __slots__ = ("capacity", "_entries", "_order", "_shapes", "hits")
 
     def __init__(self, capacity: int = DEFAULT_DEDUP_CAPACITY) -> None:
         if capacity < 1:
@@ -212,7 +222,10 @@ class DedupWindow:
                 f"dedup window needs capacity >= 1, got {capacity}"
             )
         self.capacity = capacity
-        self._entries: "OrderedDict[int, Dict[str, object]]" = OrderedDict()
+        self._entries: Dict[int, tuple] = {}
+        #: live tokens, oldest first
+        self._order: Deque[int] = deque()
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.hits = 0
 
     def __len__(self) -> int:
@@ -224,18 +237,32 @@ class DedupWindow:
     def get(self, token: int) -> Optional[Dict[str, object]]:
         """The recorded response for *token*, or None if unseen/evicted."""
         hit = self._entries.get(token)
-        if hit is not None:
-            self.hits += 1
-        return hit
+        if hit is None:
+            return None
+        self.hits += 1
+        keys = hit[0]
+        if keys is None:
+            return hit[1]
+        return dict(zip(keys, hit[1:]))
 
     def record(self, token: int, response: Dict[str, object]) -> None:
         """Remember *response* for *token* (token 0 means "no token")."""
         if token == 0:
             return
-        self._entries[token] = response
-        self._entries.move_to_end(token)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        if type(response) is dict:
+            keys = tuple(response)
+            # the server records a handful of shapes; share their names
+            keys = self._shapes.setdefault(keys, keys)
+            stored = (keys, *response.values())
+        else:
+            stored = (None, response)
+        entries = self._entries
+        if token in entries:
+            self._order.remove(token)
+        entries[token] = stored
+        self._order.append(token)
+        while len(entries) > self.capacity:
+            del entries[self._order.popleft()]
 
 
 def shard_of(name: str, n_shards: int) -> int:

@@ -15,7 +15,8 @@ The receive path is zero-copy and coalescing: each scheduling slot of a
 connection handler reads one large chunk off the stream, parses *every*
 complete frame in it, and dispatches them back to back -- INGEST value
 arrays are ``np.frombuffer`` views into the chunk (no per-batch copy;
-the view pins the chunk until the shard flusher applies it), and the
+the view pins the chunk until the shard flusher applies it, and engines
+copy whatever they keep, so no chunk outlives its batches), and the
 acks for the whole chunk are written in one ``write`` + one ``drain``.
 Each frame is still dispatched individually, in order, through the same
 journal/dedup/ack pipeline, so idempotency-token semantics and the
@@ -423,10 +424,11 @@ class QuantileService:
     def _write_snapshot(self) -> str:
         assert self.journal is not None and self.snapshot_path is not None
         self.registry.apply_all()
-        write_snapshot(
+        nbytes = write_snapshot(
             self.snapshot_path, self.registry, self.journal.seq,
             rules=self.rules,
         )
+        obs_hooks.registry().gauge("service.snapshot.last_bytes").set(nbytes)
         self.journal.rotate(self.journal.seq)
         self.metrics.snapshots += 1
         return self.snapshot_path

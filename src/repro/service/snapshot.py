@@ -48,7 +48,10 @@ metrics implicitly ``paper``) and version-2 files still read.
 
 Writes are atomic (temp file + ``os.replace`` + directory fsync): a
 crash mid-write leaves the previous snapshot untouched, and the CRC
-trailer rejects a partially-flushed file.
+trailer rejects a partially-flushed file.  The writer streams: fields
+gather in a small staging buffer that spills to the temp file with a
+running CRC32, so writing a snapshot costs memory on the order of one
+metric's payload, not the whole image.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import io
 import os
 import struct
 import zlib
-from typing import List, Optional
+from typing import BinaryIO, List, Optional
 
 import numpy as np
 
@@ -132,27 +135,56 @@ def _dump_adaptive(sk: AdaptiveQuantileSketch) -> bytes:
     return out.getvalue()
 
 
-def write_snapshot(
-    path: str,
+#: the staging buffer spills to the file once it holds this much; big
+#: enough that ``write``/``crc32`` run per few hundred metrics, not per
+#: field, small enough that a snapshot never holds its whole image
+_SPILL_BYTES = 256 * 1024
+
+
+class _CrcSpill(io.BytesIO):
+    """Staging buffer that streams into *fh* with a running CRC32.
+
+    Fields are written into the buffer (C-speed ``BytesIO.write``);
+    :meth:`spill` moves its contents to the file once they reach
+    :data:`_SPILL_BYTES`, so peak memory is one spill plus the largest
+    single metric payload -- not the image, twice over.
+    """
+
+    def __init__(self, fh: BinaryIO) -> None:
+        super().__init__()
+        self._fh = fh
+        self.crc = 0
+        self.nbytes = 0
+
+    def spill(self) -> None:
+        """Move the staged bytes to the file once there are enough."""
+        if self.tell() >= _SPILL_BYTES:
+            self._drain()
+
+    def _drain(self) -> None:
+        with self.getbuffer() as view:
+            self._fh.write(view)
+            self.crc = zlib.crc32(view, self.crc)
+            self.nbytes += len(view)
+        self.seek(0)
+        self.truncate()
+
+    def finish(self) -> int:
+        """Spill the rest, append the CRC trailer; returns file size."""
+        self._drain()
+        self._fh.write(_U32.pack(self.crc & 0xFFFFFFFF))
+        return self.nbytes + _U32.size
+
+
+def _write_image(
+    fh: BinaryIO,
     registry: SketchRegistry,
     seq: int,
-    rules: Optional[object] = None,
-) -> None:
-    """Atomically persist *registry* at journal sequence *seq* to *path*.
-
-    The caller must have applied all pending shard queues first (the
-    server's snapshot command drains before capturing), otherwise queued
-    batches would be silently dropped from the image.  *rules* is the
-    server's :class:`~repro.service.rules.RuleSet` (or ``None`` for an
-    empty rules section).
-    """
-    if registry.pending_batches():
-        raise StorageError(
-            "snapshot requested with unapplied ingest batches; "
-            "drain the shards first"
-        )
+    rules: Optional[object],
+) -> int:
+    """Stream the snapshot image into *fh*; returns the bytes written."""
     entries = registry.entries()
-    body = io.BytesIO()
+    body = _CrcSpill(fh)
     body.write(_HEADER.pack(_MAGIC, SNAPSHOT_VERSION, 0, len(entries), seq))
     for entry in entries:
         body.write(_pack_str(entry.name))
@@ -185,6 +217,7 @@ def write_snapshot(
             body.write(_dump_framework(entry.sketch))
         else:
             body.write(_dump_adaptive(entry.sketch))
+        body.spill()
     from .protocol import _RULE_OPS
 
     rule_list = rules.rules() if rules is not None else []
@@ -198,19 +231,51 @@ def write_snapshot(
         body.write(_F64.pack(rule.threshold))
         body.write(_U64.pack(state.definite_total))
         body.write(_U64.pack(state.possible_total))
-    raw = body.getvalue()
-    raw += _U32.pack(zlib.crc32(raw) & 0xFFFFFFFF)
+    return body.finish()
+
+
+def write_snapshot(
+    path: str,
+    registry: SketchRegistry,
+    seq: int,
+    rules: Optional[object] = None,
+) -> int:
+    """Atomically persist *registry* at journal sequence *seq* to *path*.
+
+    The caller must have applied all pending shard queues first (the
+    server's snapshot command drains before capturing), otherwise queued
+    batches would be silently dropped from the image.  *rules* is the
+    server's :class:`~repro.service.rules.RuleSet` (or ``None`` for an
+    empty rules section).  Returns the snapshot's size in bytes.
+
+    The image streams into ``<path>.tmp`` in pieces; if anything fails
+    on the way, the temp file is closed and removed and *path* is left
+    as it was.
+    """
+    if registry.pending_batches():
+        raise StorageError(
+            "snapshot requested with unapplied ingest batches; "
+            "drain the shards first"
+        )
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(raw)
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        with open(tmp, "wb") as fh:
+            nbytes = _write_image(fh, registry, seq, rules)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     os.replace(tmp, path)
     dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+    return nbytes
 
 
 class _SnapReader:

@@ -3,6 +3,9 @@ section of the response, and the client's uniform query surface."""
 
 from __future__ import annotations
 
+import os
+import resource
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,34 @@ def test_stats_detail_adds_prometheus(server_and_client):
     prom = detailed["prometheus"]
     assert "# TYPE repro_core_collapse counter" in prom
     assert "repro_core_elements_ingested" in prom
+
+
+def test_memory_gauges_in_stats_and_prometheus(tmp_path):
+    with ServerThread(
+        data_dir=str(tmp_path / "data"), n_shards=2,
+        snapshot_interval_s=None,
+    ) as server:
+        with QuantileClient("127.0.0.1", server.port) as client:
+            client.create("m/kll", engine="kll", eps=0.02)
+            client.create("m/paper", eps=0.02, n=100_000)
+            client.ingest("m/kll", np.arange(4000, dtype=np.float64))
+            client.ingest("m/paper", np.arange(4000, dtype=np.float64))
+            _seq, path = client.snapshot()
+            snapshot_bytes = os.path.getsize(path)
+            stats = client.stats(detail=1)
+
+    gauges = stats["obs"]["gauges"]
+    # the server thread shares this process, so its peak RSS is ours
+    # (ru_maxrss only grows; it was read before the call below)
+    peak = gauges["service.process.peak_rss_bytes"]
+    assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    assert gauges["service.snapshot.last_bytes"] == snapshot_bytes
+
+    prom = stats["prometheus"]
+    assert "# TYPE repro_service_process_peak_rss_bytes gauge" in prom
+    assert f"repro_service_process_peak_rss_bytes {float(peak)!r}" in prom
+    assert "# TYPE repro_service_snapshot_last_bytes gauge" in prom
+    assert f"repro_service_snapshot_last_bytes {float(snapshot_bytes)!r}" in prom
 
 
 def test_client_quantiles_and_describe(server_and_client):
