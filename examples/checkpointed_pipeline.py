@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import AdaptiveQuantileSketch
-from repro.core import QuantileFramework, dumps, loads
+from repro.core import AdaptiveQuantileSketch, QuantileFramework, dumps, loads
 
 
 def unknown_length_ingest() -> None:

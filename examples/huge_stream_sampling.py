@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import QuantileSketch
+from repro.core import QuantileSketch
 from repro.core.sampling import sampling_threshold
 
 

@@ -30,7 +30,7 @@ import argparse
 
 import numpy as np
 
-from repro import AdaptiveQuantileSketch
+from repro.core import AdaptiveQuantileSketch
 
 SLO_MS = 250.0
 METRIC = "checkout/latency_ms"
@@ -55,7 +55,7 @@ def live_monitor(host: str, port: int) -> None:
 
     rng = np.random.default_rng(404)
     with QuantileClient(host, port) as client:
-        client.create(METRIC, kind="adaptive", epsilon=0.005)
+        client.create(METRIC, kind="adaptive", eps=0.005)
         print(
             f"{'hour':>4} {'requests':>10} {'p50':>8} {'p95':>8} "
             f"{'p99':>8} {'<= {:.0f}ms'.format(SLO_MS):>10}  status"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ParallelQuantileEngine, QuantileSketch
+from repro.core import ParallelQuantileEngine, QuantileSketch
 from repro.core.parameters import optimal_parameters
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import QuantileSketch, approximate_quantiles
+from repro.core import QuantileSketch, approximate_quantiles
 
 
 def main() -> None:

@@ -145,7 +145,7 @@ def main(argv=None) -> int:
         try:
             with chaos_client(proxy.port) as client:
                 client.create(
-                    "smoke/fixed", kind="fixed", epsilon=0.02, n=TOTAL
+                    "smoke/fixed", kind="fixed", eps=0.02, n=TOTAL
                 )
 
             print(f"[1/5] chaos ingest through proxy (seed {args.seed}): "

@@ -133,7 +133,7 @@ def main() -> int:
                 backoff_base=0.01,
             )
             try:
-                client.create(name, kind="fixed", epsilon=EPSILON, n=TOTAL)
+                client.create(name, kind="fixed", eps=EPSILON, n=TOTAL)
                 check(
                     client.owners_of(name) == [senior, junior],
                     f"replica set [{senior}, {junior}] from the ring",
@@ -182,7 +182,7 @@ def main() -> int:
                 # same (epsilon, N) plan as the main metric: the
                 # Sec-4.9 recombination requires equal-k summaries
                 client.create(
-                    side, kind="fixed", epsilon=EPSILON, n=TOTAL
+                    side, kind="fixed", eps=EPSILON, n=TOTAL
                 )
                 client.ingest(side, side_data)
                 client.drain()

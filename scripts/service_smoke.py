@@ -115,10 +115,10 @@ def main(argv=None) -> int:
         try:
             with QuantileClient("127.0.0.1", args.port) as client:
                 client.create(
-                    "smoke/fixed", kind="fixed", epsilon=0.02, n=TOTAL
+                    "smoke/fixed", kind="fixed", eps=0.02, n=TOTAL
                 )
                 client.create(
-                    "smoke/adaptive", kind="adaptive", epsilon=0.02
+                    "smoke/adaptive", kind="adaptive", eps=0.02
                 )
 
             print(f"[1/5] concurrent ingest: {N_CLIENTS} clients x "

@@ -202,9 +202,6 @@ class ClusterCoordinator:
         self.auto_resync = auto_resync
         self.service_kwargs = service_kwargs
         self.manifest: Optional[ClusterManifest] = None
-        self.node_deaths = 0
-        self.resyncs = 0
-        self.rebalance_transfers = 0
         self._procs: Dict[str, multiprocessing.process.BaseProcess] = {}
         self._health_thread: Optional[threading.Thread] = None
         self._health_stop = threading.Event()
@@ -545,7 +542,7 @@ class ClusterCoordinator:
             with self._lock:
                 self.manifest.mark(nid, "up")
                 self.manifest.epoch += 1
-                self.resyncs += 1
+                obs_hooks.registry().counter("cluster.resyncs").inc()
                 self._save_manifest()
                 self._publish_obs()
             if closing_pass and report.synced:
@@ -611,7 +608,9 @@ class ClusterCoordinator:
             with self._lock:
                 self.manifest.mark(nid, "up")
                 self.manifest.epoch += 1
-                self.rebalance_transfers += len(delta.moved)
+                obs_hooks.registry().counter(
+                    "cluster.rebalance_transfers"
+                ).inc(len(delta.moved))
                 self._save_manifest()
                 self._publish_obs()
             if moved:
@@ -671,7 +670,9 @@ class ClusterCoordinator:
                 self.manifest.nodes.remove(spec)
                 self.n_nodes -= 1
                 self.manifest.epoch += 1
-                self.rebalance_transfers += len(delta.moved)
+                obs_hooks.registry().counter(
+                    "cluster.rebalance_transfers"
+                ).inc(len(delta.moved))
                 self._save_manifest()
                 self._publish_obs()
             # closing pass: batches that stale-manifest clients routed
@@ -711,7 +712,9 @@ class ClusterCoordinator:
                     self.manifest.mark(spec.id, "down")
                     newly_dead.append(spec.id)
             if newly_dead:
-                self.node_deaths += len(newly_dead)
+                obs_hooks.registry().counter("cluster.node_deaths").inc(
+                    len(newly_dead)
+                )
                 self.manifest.epoch += 1
                 self._save_manifest()
             self._publish_obs()
@@ -738,15 +741,10 @@ class ClusterCoordinator:
             replication=self.replication,
             epoch=self.epoch,
         )
-        for name, value in (
-            ("cluster.node_deaths", self.node_deaths),
-            ("cluster.resyncs", self.resyncs),
-            ("cluster.rebalance_transfers", self.rebalance_transfers),
-        ):
-            counter = reg.counter(name)
-            behind = value - int(counter.get())
-            if behind > 0:
-                counter.inc(behind)
+        # the event counters are incremented where the events happen;
+        # touching them here puts them on the page before the first one
+        for event in ("node_deaths", "resyncs", "rebalance_transfers"):
+            reg.counter(f"cluster.{event}")
 
     def prometheus(self) -> str:
         """Ring health (+ whatever else the process collected) in

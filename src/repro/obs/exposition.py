@@ -68,7 +68,7 @@ def render_prometheus(registry: Any, prefix: str = "repro_") -> str:
                 lines.append(f"# TYPE {pname} {kind}")
             lines.append(f"{pname}{_prom_labels(labels)} {_prom_value(inst.get())}")
         elif kind == "timing":
-            pname = _prom_name(name + "_ms", prefix)
+            pname = _prom_name(name, prefix)
             pcts = inst.percentiles()
             if pname not in seen_types:
                 seen_types.add(pname)
@@ -137,7 +137,7 @@ def _fmt_latency(pcts: Optional[Mapping[str, Any]]) -> str:
     if not pcts:
         return "-"
     parts = []
-    for key in ("p50", "p90", "p95", "p99"):
+    for key in ("p50", "p90", "p99"):
         if key in pcts:
             parts.append(f"{key}={pcts[key]:.3g}ms")
     if "n" in pcts:

@@ -11,11 +11,10 @@ instrumented layers need:
     a settable float (buffers in use, bytes resident);
 
 :class:`TimingSketch`
-    a latency histogram tracked with the library's **own**
-    :class:`~repro.core.adaptive.AdaptiveQuantileSketch` -- the same
-    dogfooding pattern :mod:`repro.service.metrics` established for
-    query latency: the instrumentation reports p50/p99 with the exact
-    certified rank bound it exists to demonstrate.
+    a value distribution (latencies, batch sizes) tracked with the
+    library's **own** :class:`~repro.core.adaptive.AdaptiveQuantileSketch`:
+    the instrumentation reports p50/p90/p99 with the exact certified
+    rank bound it exists to demonstrate.
 
 Instruments live in a :class:`MetricsRegistry`, addressed by name plus
 an optional label mapping (``registry.counter("core.collapse",
@@ -42,6 +41,9 @@ __all__ = [
 
 #: percentiles reported by :meth:`TimingSketch.percentiles`
 _TIMING_PHIS = (0.5, 0.9, 0.99)
+
+#: observations a :class:`TimingSketch` buffers before one sketch extend
+_FLUSH_AT = 1024
 
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -80,12 +82,15 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
+    def inc(self, amount: float = 1.0) -> None:
+        self.value += amount
+
     def get(self) -> float:
         return self.value
 
 
 class _Timer:
-    """Context manager feeding one wall-clock duration into a sketch."""
+    """Context manager feeding one wall-clock duration (ms) into a sketch."""
 
     __slots__ = ("_sketch", "_start")
 
@@ -98,58 +103,63 @@ class _Timer:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._sketch.observe(time.perf_counter() - self._start)
+        self._sketch.observe((time.perf_counter() - self._start) * 1000.0)
 
 
 class TimingSketch:
-    """A duration histogram backed by the library's own quantile sketch.
+    """A value distribution backed by the library's own quantile sketch.
 
-    Durations are recorded in **milliseconds**.  The inner
-    :class:`~repro.core.adaptive.AdaptiveQuantileSketch` is created
-    lazily on the first observation (which also keeps this module free
-    of import cycles with :mod:`repro.core`).
+    Values are recorded as given, in the instrument's unit; durations
+    carry the unit in the instrument name (``service.query.latency_ms``)
+    and :meth:`time` records milliseconds.  Observations are buffered
+    and fed to the inner
+    :class:`~repro.core.adaptive.AdaptiveQuantileSketch` in one
+    vectorised extend every ``_FLUSH_AT`` values or when read: the
+    service observes every request, one sketch insert per request was a
+    measurable slice of server CPU, and batched ingest is bit-identical
+    to one-at-a-time.  The sketch is created lazily (which also keeps
+    this module free of import cycles with :mod:`repro.core`).
     """
 
-    __slots__ = ("epsilon", "_sketch")
+    __slots__ = ("epsilon", "_sketch", "_buf")
 
     kind = "timing"
 
     def __init__(self, epsilon: float = 0.01) -> None:
         self.epsilon = epsilon
         self._sketch: Any = None
+        self._buf: List[float] = []
 
     @property
     def n(self) -> int:
-        return 0 if self._sketch is None else self._sketch.n
+        """Values observed so far, buffered ones included."""
+        n = len(self._buf)
+        return n if self._sketch is None else n + self._sketch.n
 
-    def observe(self, seconds: float) -> None:
-        """Record one duration (given in seconds, stored as ms)."""
+    def observe(self, value: float) -> None:
+        """Record one value (in the instrument's unit)."""
+        buf = self._buf
+        buf.append(value)
+        if len(buf) >= _FLUSH_AT:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._buf:
+            return
         if self._sketch is None:
             from ..core.adaptive import AdaptiveQuantileSketch
 
             self._sketch = AdaptiveQuantileSketch(epsilon=self.epsilon)
-        self._sketch.update(seconds * 1000.0)
-
-    def extend_ms(self, durations_ms: Any) -> None:
-        """Record a batch of durations already in **milliseconds**.
-
-        The vectorised path for callers that buffer observations (the
-        service meters every request; one sketch insert per request was
-        measurable) -- one batched sketch extend amortises the per-value
-        cost, and batched ingest is bit-identical to one-at-a-time.
-        """
-        if self._sketch is None:
-            from ..core.adaptive import AdaptiveQuantileSketch
-
-            self._sketch = AdaptiveQuantileSketch(epsilon=self.epsilon)
-        self._sketch.extend(durations_ms)
+        self._sketch.extend(self._buf)
+        self._buf = []
 
     def time(self) -> _Timer:
         """``with timing.time(): ...`` records the block's duration."""
         return _Timer(self)
 
     def percentiles(self) -> Optional[Dict[str, float]]:
-        """p50/p90/p99 in ms plus the certified rank bound, or ``None``."""
+        """p50/p90/p99 plus the certified rank bound, or ``None``."""
+        self._flush()
         if self._sketch is None or self._sketch.n == 0:
             return None
         values = self._sketch.quantiles(list(_TIMING_PHIS))

@@ -28,7 +28,6 @@ from .client import QuantileClient
 from .errors import ServiceConnectionError, ServiceError, ServiceTimeoutError
 from .faults import ChaosProxy, FaultEvent, FaultSchedule
 from .journal import IngestJournal, JournalRecord, read_journal
-from .metrics import ServiceMetrics
 from .registry import DedupWindow, MetricEntry, SketchRegistry
 from .server import QuantileService, ServerThread
 from .snapshot import read_snapshot, write_snapshot
@@ -40,7 +39,6 @@ __all__ = [
     "SketchRegistry",
     "MetricEntry",
     "DedupWindow",
-    "ServiceMetrics",
     "ServiceError",
     "ServiceConnectionError",
     "ServiceTimeoutError",

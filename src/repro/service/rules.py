@@ -32,6 +32,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, EmptySummaryError
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["WatchRule", "RuleState", "RuleSet", "RULE_OPS"]
 
@@ -102,12 +103,19 @@ class RuleState:
 
 
 class RuleSet:
-    """The server's WATCH rules: registration, evaluation, reporting."""
+    """The server's WATCH rules: registration, evaluation, reporting.
 
-    def __init__(self) -> None:
+    Evaluations and firings are counted in *metrics* (the server's
+    registry; a private one when omitted) as
+    ``service.watch_evaluations`` and
+    ``service.alerts_total{rule,state}``.
+    """
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._rules: Dict[str, WatchRule] = {}
         self._states: Dict[str, RuleState] = {}
-        self.evaluations = 0
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._evaluations = self.metrics.counter("service.watch_evaluations")
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -192,11 +200,7 @@ class RuleSet:
         the scheduler down.  Returns the full report (same shape as
         :meth:`describe`).
         """
-        from ..obs import hooks as obs_hooks
-
         registry.apply_all()
-        self.evaluations += 1
-        obs_reg = obs_hooks.registry()
         for rule in self.rules():
             state = self._states[rule.rule_id]
             state.last_eval_t = now
@@ -231,12 +235,12 @@ class RuleSet:
                     state.definite_total += 1
                 else:
                     state.possible_total += 1
-                obs_reg.counter(
+                self.metrics.counter(
                     "service.alerts_total",
                     rule=rule.rule_id,
                     state=outcome,
                 ).inc()
-        obs_reg.counter("service.watch_evaluations").inc()
+        self._evaluations.inc()
         return self.describe()
 
     # -- reporting ---------------------------------------------------------

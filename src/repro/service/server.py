@@ -70,6 +70,7 @@ from typing import Any, Dict, List, Optional
 from ..core.errors import ReproError, StorageError
 from ..obs import hooks as obs_hooks
 from ..obs.exposition import render_prometheus
+from ..obs.metrics import MetricsRegistry
 from . import protocol
 from .journal import (
     CREATE_RECORD,
@@ -81,7 +82,7 @@ from .journal import (
     IngestJournal,
     read_journal,
 )
-from .metrics import ServiceMetrics
+from .metrics import RecentRate, stats_view
 from .registry import SketchRegistry
 from .rules import RuleSet
 from .snapshot import read_snapshot, write_snapshot
@@ -101,6 +102,54 @@ READ_CHUNK = 4 * 1024 * 1024
 #: the ~208 KiB default stalls a pipelined sender after ~6 batches of
 #: 4096 float64s.  The kernel caps this at ``net.core.rmem_max``.
 SOCK_RCVBUF = 4 * 1024 * 1024
+
+
+class _Instruments:
+    """The server's hot-path instruments, resolved once.
+
+    ``registry.counter(name, **labels)`` sorts a labels dict into a key
+    and does two dict lookups; every request records into several
+    instruments, so the handles are resolved here at construction (as
+    :class:`repro.obs.hooks._HotHandles` does for the core hooks) and
+    the hot path pays attribute reads only.
+    """
+
+    def __init__(self, reg: MetricsRegistry, n_shards: int) -> None:
+        self.ingest_batches = [
+            reg.counter("service.ingest.batches", shard=i)
+            for i in range(n_shards)
+        ]
+        self.ingest_elements = [
+            reg.counter("service.ingest.elements", shard=i)
+            for i in range(n_shards)
+        ]
+        self.batch_size = reg.timing("service.ingest.batch_size")
+        self.queries = reg.counter("service.queries")
+        self.query_latency = reg.timing("service.query.latency_ms")
+        self.connections_total = reg.counter("service.connections_total")
+        self.connections_open = reg.gauge("service.connections_open")
+        self.backpressure_flushes = reg.counter(
+            "service.backpressure_flushes"
+        )
+        self.coalesce_reads = reg.counter("service.coalesce.reads")
+        self.coalesce_frames = reg.counter("service.coalesce.frames")
+        #: frames dispatched per socket read -- how deep clients pipeline
+        self.frames_per_read = reg.timing("service.coalesce.frames_per_read")
+        #: request wall time per opcode, keyed by the opcode number
+        self.op_latency = {
+            op: reg.timing("service.op_latency_ms", op=name)
+            for op, name in protocol.Opcode._NAMES.items()
+        }
+        self.snapshots = reg.counter("service.snapshots")
+        self.journal_records_recovered = reg.counter(
+            "service.journal_records_recovered"
+        )
+
+    def record_coalesce(self, n_frames: int) -> None:
+        """One socket read dispatched *n_frames* requests as a batch."""
+        self.coalesce_reads.inc()
+        self.coalesce_frames.inc(n_frames)
+        self.frames_per_read.observe(n_frames)
 
 
 class QuantileService:
@@ -190,8 +239,14 @@ class QuantileService:
         self._clock = clock or time.time
         self.watch_interval_s = watch_interval_s
         self.registry = SketchRegistry(n_shards, clock=self._clock)
-        self.rules = RuleSet()
-        self.metrics = ServiceMetrics(n_shards)
+        #: every number this server keeps about itself; STATS and the
+        #: Prometheus page are both rendered from it
+        self.metrics = MetricsRegistry()
+        self._m = _Instruments(self.metrics, n_shards)
+        self._recent = RecentRate()
+        self.started_at = time.time()
+        self._t0 = time.monotonic()
+        self.rules = RuleSet(self.metrics)
         self.journal: Optional[IngestJournal] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._shard_events: List[asyncio.Event] = []
@@ -291,7 +346,7 @@ class QuantileService:
                         rec.token, {"replaced": replaced, "seq": rec.seq}
                     )
                 replayed += 1
-        self.metrics.recovered_records = replayed
+        self._m.journal_records_recovered.inc(replayed)
         # opening the journal truncates any torn tail and resumes the
         # sequence after the last surviving record
         self.journal = IngestJournal(
@@ -303,9 +358,10 @@ class QuantileService:
     async def start(self) -> None:
         """Recover, bind the socket and launch the background tasks."""
         if self.observability:
-            # turn on core instrumentation so STATS can report per-level
-            # collapse counts and the live certified bound per metric
-            obs_hooks.enable()
+            # turn on core instrumentation into this server's registry so
+            # STATS can report per-level collapse counts and the live
+            # certified bound per metric
+            obs_hooks.enable(registry=self.metrics)
         if self.data_dir is not None:
             self._recover()
         self._shard_events = [asyncio.Event() for _ in range(self.n_shards)]
@@ -428,9 +484,9 @@ class QuantileService:
             self.snapshot_path, self.registry, self.journal.seq,
             rules=self.rules,
         )
-        obs_hooks.registry().gauge("service.snapshot.last_bytes").set(nbytes)
+        self.metrics.gauge("service.snapshot.last_bytes").set(nbytes)
         self.journal.rotate(self.journal.seq)
-        self.metrics.snapshots += 1
+        self._m.snapshots.inc()
         return self.snapshot_path
 
     # -- connection handling -----------------------------------------------
@@ -449,8 +505,9 @@ class QuantileService:
                 )
             except OSError:  # pragma: no cover - platform-dependent cap
                 pass
-        self.metrics.connections_total += 1
-        self.metrics.connections_open += 1
+        m = self._m
+        m.connections_total.inc()
+        m.connections_open.inc()
         inflight_bytes = 0  # queued-but-unapplied ingest payload
         tail = b""  # partial frame carried across read chunks
         try:
@@ -507,7 +564,7 @@ class QuantileService:
                             rest = None
                         if rest is None:
                             if acks:
-                                self.metrics.record_coalesce(len(acks))
+                                m.record_coalesce(len(acks))
                                 writer.write(b"".join(acks))
                                 await writer.drain()
                             break
@@ -521,7 +578,7 @@ class QuantileService:
                         pos = n
                 tail = data[pos:] if pos < n else b""
                 if acks:
-                    self.metrics.record_coalesce(len(acks))
+                    m.record_coalesce(len(acks))
                     writer.write(b"".join(acks))
                     await writer.drain()
                 if oversize:
@@ -532,12 +589,12 @@ class QuantileService:
                     # reading (and thereby acking) anything further
                     if self.registry.pending_batches():
                         self.registry.apply_all()
-                        self.metrics.backpressure_flushes += 1
+                        m.backpressure_flushes.inc()
                     inflight_bytes = 0
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
-            self.metrics.connections_open -= 1
+            m.connections_open.inc(-1)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -559,16 +616,25 @@ class QuantileService:
     def _execute(self, req: protocol.Request) -> Dict[str, Any]:
         """Run one request, self-metering its wall time per opcode.
 
-        Every opcode -- not just queries -- lands in a per-op
-        :class:`~repro.obs.metrics.TimingSketch`, so STATS reports
-        p50/p99 latency per operation with a certified rank bound.
+        Every opcode -- not just queries -- lands in its
+        ``service.op_latency_ms{op}`` sketch, so STATS reports p50/p90/p99
+        latency per operation with a certified rank bound.
         """
-        op_name = protocol.Opcode._NAMES.get(req.opcode, str(req.opcode))
         start = time.perf_counter()
         try:
             return self._execute_op(req)
         finally:
-            self.metrics.record_op(op_name, time.perf_counter() - start)
+            self._m.op_latency[req.opcode].observe(
+                (time.perf_counter() - start) * 1000.0
+            )
+
+    def uptime_s(self) -> float:
+        """Seconds since this server was constructed."""
+        return time.monotonic() - self._t0
+
+    def _record_query(self, start: float) -> None:
+        self._m.queries.inc()
+        self._m.query_latency.observe((time.perf_counter() - start) * 1000.0)
 
     def _execute_op(self, req: protocol.Request) -> Dict[str, Any]:
         op = req.opcode
@@ -578,13 +644,13 @@ class QuantileService:
             start = time.perf_counter()
             self.registry.apply_shard(self.registry.get(req.name).shard)
             values, bound, n = self.registry.quantiles(req.name, req.phis)
-            self.metrics.record_query(time.perf_counter() - start)
+            self._record_query(start)
             return {"values": values, "error_bound": bound, "n": n}
         if op == protocol.Opcode.CDF:
             start = time.perf_counter()
             self.registry.apply_shard(self.registry.get(req.name).shard)
             rank, fraction, bound, n = self.registry.cdf(req.name, req.value)
-            self.metrics.record_query(time.perf_counter() - start)
+            self._record_query(start)
             return {
                 "rank": rank,
                 "fraction": fraction,
@@ -644,21 +710,25 @@ class QuantileService:
             self.registry.apply_all()
             return {"seq": self.journal.seq if self.journal else 0}
         if op == protocol.Opcode.STATS:
-            stats = self.metrics.to_dict(self.registry, self.rules)
+            stats = stats_view(
+                self.metrics, self.registry, self.rules,
+                started_at=self.started_at, uptime_s=self.uptime_s(),
+                recent_rate=self._recent.rate(),
+            )
             stats["engines"] = self.registry.engine_counts()
             if self.node_id:
                 stats["node_id"] = self.node_id
                 stats["cluster_epoch"] = self.cluster_epoch
             if req.detail:
-                stats["prometheus"] = render_prometheus(obs_hooks.registry())
+                stats["prometheus"] = render_prometheus(self.metrics)
             return {"stats": stats}
         if op == protocol.Opcode.PING:
             return {
                 "node_id": self.node_id,
                 "epoch": self.cluster_epoch,
-                "uptime_s": self.metrics.uptime_s(),
+                "uptime_s": self.uptime_s(),
                 "n_metrics": len(self.registry),
-                "elements": self.metrics.ingest_elements,
+                "elements": sum(c.value for c in self._m.ingest_elements),
             }
         if op == protocol.Opcode.WATCH:
             if req.token:
@@ -836,7 +906,11 @@ class QuantileService:
             else:
                 seq = 0
             self.registry.enqueue(req.name, arr, validated=True)
-        self.metrics.record_ingest(entry.shard, arr.size)
+        m = self._m
+        m.ingest_batches[entry.shard].inc()
+        m.ingest_elements[entry.shard].inc(arr.size)
+        m.batch_size.observe(arr.size)
+        self._recent.add(arr.size)
         self._shard_events[entry.shard].set()
         result = {"seq": seq, "count": int(arr.size)}
         self.registry.dedup.record(req.token, result)

@@ -77,7 +77,7 @@ def test_sigkill_mid_ingest_exactly_once_within_certified_bound(coord):
             backoff_base=0.01,
         )
         try:
-            client.create(name, kind="fixed", epsilon=EPSILON, n=TOTAL)
+            client.create(name, kind="fixed", eps=EPSILON, n=TOTAL)
             assert client.owners_of(name) == [senior, junior]
             killed_at = len(batches) // 2
             for i, batch in enumerate(batches):

@@ -63,7 +63,7 @@ def node_n(coord, node_id, name):
 
 class TestPlacementAndReplication:
     def test_create_broadcasts_to_every_live_node(self, coord, client):
-        client.create("place/bcast", kind="fixed", epsilon=0.02, n=10_000)
+        client.create("place/bcast", kind="fixed", eps=0.02, n=10_000)
         for nid in coord.node_ids:
             with direct(coord, nid) as qc:
                 names = [m["name"] for m in qc.list_metrics()]
@@ -71,7 +71,7 @@ class TestPlacementAndReplication:
 
     def test_ingest_replicates_to_exactly_the_owners(self, coord, client):
         name = "place/owners"
-        client.create(name, kind="fixed", epsilon=0.02, n=10_000)
+        client.create(name, kind="fixed", eps=0.02, n=10_000)
         owners = client.owners_of(name)
         assert len(owners) == 2 and len(set(owners)) == 2
         client.ingest(name, np.arange(500.0))
@@ -82,7 +82,7 @@ class TestPlacementAndReplication:
 
     def test_replicas_hold_identical_streams(self, coord, client):
         name = "place/identical"
-        client.create(name, kind="fixed", epsilon=0.02, n=10_000)
+        client.create(name, kind="fixed", eps=0.02, n=10_000)
         rng = np.random.default_rng(7)
         for _ in range(4):
             client.ingest(name, rng.standard_normal(800))
@@ -94,7 +94,7 @@ class TestPlacementAndReplication:
 
     def test_pipelined_ingest_replicates_too(self, coord, client):
         name = "place/pipelined"
-        client.create(name, kind="fixed", epsilon=0.02, n=10_000)
+        client.create(name, kind="fixed", eps=0.02, n=10_000)
         for chunk in np.split(np.arange(2000.0), 10):
             client.ingest_nowait(name, chunk)
         client.flush()
@@ -108,7 +108,7 @@ class TestFailoverReads:
         self, coord, client
     ):
         name = "fail/read"
-        client.create(name, kind="fixed", epsilon=0.01, n=50_000)
+        client.create(name, kind="fixed", eps=0.01, n=50_000)
         data = np.random.default_rng(11).permutation(10_000).astype(float)
         client.ingest(name, data)
         senior, junior = client.owners_of(name)
@@ -131,7 +131,7 @@ class TestFailoverReads:
         ingest continues (history beyond the dead replicas is what R
         is dimensioned against, not this path)."""
         name = "fail/alldown"
-        client.create(name, kind="fixed", epsilon=0.02, n=10_000)
+        client.create(name, kind="fixed", eps=0.02, n=10_000)
         client.ingest(name, np.arange(100.0))
         owners = list(client.owners_of(name))
         for nid in owners:
@@ -148,7 +148,7 @@ class TestFailoverReads:
 
     def test_all_nodes_down_is_a_typed_error(self, coord, client):
         name = "fail/typed"
-        client.create(name, kind="fixed", epsilon=0.02, n=10_000)
+        client.create(name, kind="fixed", eps=0.02, n=10_000)
         client.ingest(name, np.arange(100.0))
         for nid in coord.node_ids:
             client.mark_down(nid)
@@ -173,7 +173,7 @@ class TestCertifiedFanIn:
         for i in range(3):
             name = f"fanin/part-{i}"
             streams[name] = rng.standard_normal(4000) * (i + 1)
-            client.create(name, kind="fixed", epsilon=0.01, n=50_000)
+            client.create(name, kind="fixed", eps=0.01, n=50_000)
             client.ingest(name, streams[name])
         client.drain()
         values, bound, n = client.query_merged(list(streams), PHIS)
@@ -192,7 +192,7 @@ class TestCertifiedFanIn:
 
     def test_fan_in_survives_a_marked_down_senior(self, coord, client):
         name = "fanin/solo"
-        client.create(name, kind="fixed", epsilon=0.01, n=50_000)
+        client.create(name, kind="fixed", eps=0.01, n=50_000)
         client.ingest(name, np.arange(5000.0))
         senior = client.owners_of(name)[0]
         client.mark_down(senior)
@@ -216,7 +216,7 @@ class TestEngineMismatchSurfacing:
             (owner_b, owner_a) if kll_on_senior else (owner_a, owner_b)
         )
         with direct(coord, paper_node) as qc:
-            qc.create(name, kind="fixed", epsilon=0.02, n=10_000)
+            qc.create(name, kind="fixed", eps=0.02, n=10_000)
             qc.ingest(name, np.arange(100.0))
         with direct(coord, kll_node) as qc:
             qc.create(name, kind="fixed", engine="kll")
@@ -244,7 +244,7 @@ class TestEngineMismatchSurfacing:
         self._mixed_metric(
             coord, client, "mix/fanin", kll_on_senior=True
         )
-        client.create("mix/clean", kind="fixed", epsilon=0.02, n=10_000)
+        client.create("mix/clean", kind="fixed", eps=0.02, n=10_000)
         client.ingest("mix/clean", np.arange(100.0))
         with pytest.raises(ReplicaEngineMismatchError) as err:
             client.fetch_merged(["mix/clean", "mix/fanin"])
@@ -252,7 +252,7 @@ class TestEngineMismatchSurfacing:
         assert len(err.value.tagged) == 2
 
     def test_agreeing_replicas_pass_the_check(self, coord, client):
-        client.create("mix/ok", kind="fixed", epsilon=0.02, n=10_000)
+        client.create("mix/ok", kind="fixed", eps=0.02, n=10_000)
         client.ingest("mix/ok", np.arange(50.0))
         tagged = client.check_replicas("mix/ok")
         assert [eng for _, eng in tagged] == ["paper", "paper"]
@@ -274,7 +274,7 @@ class TestMixedEngineResync:
         self, coord, client, engine
     ):
         name = f"mixsync/{engine}"
-        client.create(name, kind="fixed", epsilon=0.02, engine=engine)
+        client.create(name, kind="fixed", eps=0.02, engine=engine)
         client.ingest(
             name, np.random.default_rng(5).standard_normal(1500)
         )
@@ -301,7 +301,7 @@ class TestMixedEngineResync:
         name = "mixsync/clash"
         owner_a, owner_b = client.owners_of(name)
         with direct(coord, owner_a) as qc:
-            qc.create(name, kind="fixed", epsilon=0.02, n=10_000)
+            qc.create(name, kind="fixed", eps=0.02, n=10_000)
             qc.ingest(name, np.arange(200.0))
         with direct(coord, owner_b) as qc:
             qc.create(name, kind="fixed", engine="kll")
@@ -358,7 +358,7 @@ class TestMixedEngineResync:
 
 class TestClusterWideReads:
     def test_status_and_stats_and_list(self, coord, client):
-        client.create("wide/m", kind="fixed", epsilon=0.02, n=10_000)
+        client.create("wide/m", kind="fixed", eps=0.02, n=10_000)
         client.ingest("wide/m", np.arange(10.0))
         client.drain()
         rows = client.status()

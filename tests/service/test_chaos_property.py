@@ -168,7 +168,8 @@ def test_chaos_state_bit_identical(
                 send_coalesce_bytes=coalesce,
             ) as client:
                 for name, config in _metrics(policy):
-                    client.create(name, **config)
+                    eps = config.pop("epsilon")
+                    client.create(name, eps=eps, **config)
                 # pipelined: acks are collected by the final drain, so
                 # a fault can hit a burst of in-flight ingests and the
                 # resend machinery (not one lockstep request) recovers

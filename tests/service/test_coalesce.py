@@ -154,7 +154,7 @@ class TestClientSendCoalescing:
         with QuantileClient(
             "127.0.0.1", server.port, send_coalesce_bytes=1024 * 1024
         ) as client:
-            client.create("t/m", kind="adaptive", epsilon=0.02)
+            client.create("t/m", kind="adaptive", eps=0.02)
             for i in range(20):
                 client.ingest_nowait("t/m", np.full(100, float(i)))
             # everything still queued client-side (threshold not hit)
@@ -169,7 +169,7 @@ class TestClientSendCoalescing:
         with QuantileClient(
             "127.0.0.1", server.port, send_coalesce_bytes=64 * 1024
         ) as client:
-            client.create("t/m", kind="adaptive", epsilon=0.02)
+            client.create("t/m", kind="adaptive", eps=0.02)
             for _ in range(8):
                 client.ingest_nowait("t/m", batch)
             # at least one burst crossed the 64 KiB threshold and went out
@@ -184,7 +184,7 @@ class TestClientSendCoalescing:
         with QuantileClient(
             "127.0.0.1", server.port, send_coalesce_bytes=8 * 1024 * 1024
         ) as client:
-            client.create("t/m", kind="adaptive", epsilon=0.02)
+            client.create("t/m", kind="adaptive", eps=0.02)
             client.ingest_nowait("t/m", np.arange(700.0))
             _, _, n = client.query("t/m", [0.5])
             assert n == 700
@@ -196,7 +196,7 @@ class TestUnixSocketTransport:
         with ServerThread(path=path, snapshot_interval_s=None) as srv:
             assert srv.path == path
             with QuantileClient(path=path) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 client.ingest("t/m", np.arange(2000.0))
                 values, bound, n = client.query("t/m", [0.5])
                 assert n == 2000
@@ -217,7 +217,7 @@ class TestUnixSocketTransport:
             with QuantileClient(
                 path=path, send_coalesce_bytes=128 * 1024
             ) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 for i in range(64):
                     client.ingest_nowait("t/m", np.full(512, float(i)))
                 client.drain()

@@ -23,10 +23,10 @@ from repro.service.protocol import Opcode, Request
 PHIS = [0.1, 0.5, 0.9]
 
 ENGINES = {
-    "e/paper": dict(kind="fixed", epsilon=0.02, n=50_000),
-    "e/kll": dict(kind="fixed", epsilon=0.02, engine="kll"),
+    "e/paper": dict(kind="fixed", eps=0.02, n=50_000),
+    "e/kll": dict(kind="fixed", eps=0.02, engine="kll"),
     "e/frugal": dict(kind="fixed", engine="frugal"),
-    "e/adaptive": dict(kind="adaptive", epsilon=0.02),
+    "e/adaptive": dict(kind="adaptive", eps=0.02),
 }
 
 

@@ -106,7 +106,7 @@ class TestProxyTransparent:
     def test_passthrough_end_to_end(self, server):
         with ChaosProxy("127.0.0.1", server.port) as proxy:
             with resilient_client(proxy.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 client.ingest("t/m", np.arange(1000.0))
                 values, bound, n = client.query("t/m", [0.5])
             assert n == 1000
@@ -124,7 +124,7 @@ class TestProxyTransparent:
             "127.0.0.1", server.port, schedule=schedule
         ) as proxy:
             with resilient_client(proxy.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 client.ingest("t/m", np.arange(100.0))
                 _, _, n = client.query("t/m", [0.5])
             assert n == 100
@@ -167,7 +167,7 @@ class TestClientRetry:
         ) as proxy:
             # metric created out of band so the faulted request is INGEST
             with QuantileClient("127.0.0.1", server.port) as direct:
-                direct.create("t/m", kind="adaptive", epsilon=0.02)
+                direct.create("t/m", kind="adaptive", eps=0.02)
             with resilient_client(proxy.port) as client:
                 seq = client.ingest("t/m", np.arange(1000.0))
                 assert seq >= 1
@@ -197,7 +197,7 @@ class TestClientRetry:
             "127.0.0.1", server.port, schedule=schedule
         ) as proxy:
             with resilient_client(proxy.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 client.ingest("t/m", np.arange(500.0))
                 _, _, n = client.query("t/m", [0.5])
             assert n == 500
@@ -342,7 +342,7 @@ class TestClientRetry:
             "127.0.0.1", server.port, schedule=schedule
         ) as proxy:
             with QuantileClient("127.0.0.1", server.port) as direct:
-                direct.create("t/m", kind="adaptive", epsilon=0.02)
+                direct.create("t/m", kind="adaptive", eps=0.02)
             with resilient_client(proxy.port) as client:
                 for i in range(8):
                     client.ingest_nowait(
@@ -391,7 +391,7 @@ class TestServerResilience:
             max_inflight_bytes=4096,  # a few hundred values
         ) as srv:
             with resilient_client(srv.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 for i in range(64):
                     client.ingest("t/m", np.arange(256.0))
                 stats = client.stats()
@@ -403,7 +403,7 @@ class TestServerResilience:
             data_dir=data_dir, n_shards=2, snapshot_interval_s=None,
         ) as srv:
             with resilient_client(srv.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 for i in range(8):
                     client.ingest_nowait(
                         "t/m", np.arange(i * 100.0, (i + 1) * 100.0)
@@ -419,7 +419,9 @@ class TestServerResilience:
         with ServerThread(
             data_dir=data_dir, n_shards=2, snapshot_interval_s=None,
         ) as srv2:
-            assert srv2.service.metrics.recovered_records == 0  # all in snap
+            assert srv2.service.metrics.value(
+                "service.journal_records_recovered"
+            ) == 0  # all in snap
             with resilient_client(srv2.port) as client:
                 _, _, n = client.query("t/m", [0.5])
             assert n == 800
@@ -439,7 +441,7 @@ class TestServerResilience:
             with resilient_client(
                 srv.port, send_coalesce_bytes=64 * 1024
             ) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 for i in range(n_batches):
                     client.ingest_nowait("t/m", np.full(batch, float(i)))
                 client.flush()  # every batch ACKED (journaled + queued)
@@ -453,7 +455,9 @@ class TestServerResilience:
             data_dir=data_dir, n_shards=2, snapshot_interval_s=None,
         ) as srv2:
             # all acked data is inside the snapshot, none replayed
-            assert srv2.service.metrics.recovered_records == 0
+            assert srv2.service.metrics.value(
+                "service.journal_records_recovered"
+            ) == 0
             with resilient_client(srv2.port) as client:
                 _, _, n = client.query("t/m", [0.5])
             assert n == n_batches * batch
@@ -544,7 +548,7 @@ class TestServerResilience:
             data_dir=data_dir, n_shards=2, snapshot_interval_s=None,
         ) as srv:
             with resilient_client(srv.port) as client:
-                client.create("t/m", kind="adaptive", epsilon=0.02)
+                client.create("t/m", kind="adaptive", eps=0.02)
                 client.ingest("t/m", np.arange(1000.0))
             srv.stop(graceful=False)  # crash: dedup RAM state gone
         scan = read_journal(f"{data_dir}/journal.log")

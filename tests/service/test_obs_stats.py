@@ -4,6 +4,7 @@ section of the response, and the client's uniform query surface."""
 from __future__ import annotations
 
 import os
+import re
 import resource
 
 import numpy as np
@@ -60,7 +61,7 @@ def server_and_client():
 
 def test_stats_obs_section(server_and_client):
     _server, client = server_and_client
-    client.create("obs/fixed", kind="fixed", epsilon=0.02, n=50_000)
+    client.create("obs/fixed", kind="fixed", eps=0.02, n=50_000)
     rng = np.random.default_rng(0)
     for _ in range(10):
         client.ingest("obs/fixed", rng.normal(size=5000))
@@ -100,7 +101,7 @@ def test_stats_obs_section(server_and_client):
 
 def test_stats_detail_adds_prometheus(server_and_client):
     _server, client = server_and_client
-    client.create("p", kind="adaptive", epsilon=0.02)
+    client.create("p", kind="adaptive", eps=0.02)
     client.ingest("p", np.arange(10_000, dtype=np.float64))
     client.drain()
 
@@ -143,7 +144,7 @@ def test_memory_gauges_in_stats_and_prometheus(tmp_path):
 
 def test_client_quantiles_and_describe(server_and_client):
     _server, client = server_and_client
-    client.create("q", kind="fixed", epsilon=0.01, n=20_000)
+    client.create("q", kind="fixed", eps=0.01, n=20_000)
     client.ingest("q", np.arange(20_000, dtype=np.float64))
     client.drain()
 
@@ -164,7 +165,7 @@ def test_render_stats_text_shows_acceptance_fields(server_and_client):
     from repro.obs import render_stats_text
 
     _server, client = server_and_client
-    client.create("r", kind="adaptive", epsilon=0.02)
+    client.create("r", kind="adaptive", eps=0.02)
     client.ingest("r", np.random.default_rng(2).normal(size=30_000))
     client.drain()
     client.quantile("r", 0.99)
@@ -180,7 +181,7 @@ def test_render_stats_text_shows_acceptance_fields(server_and_client):
 def test_observability_opt_out():
     with ServerThread(n_shards=1, observability=False) as server:
         with QuantileClient("127.0.0.1", server.port) as client:
-            client.create("s", kind="adaptive", epsilon=0.05)
+            client.create("s", kind="adaptive", eps=0.05)
             client.ingest("s", np.arange(5000, dtype=np.float64))
             client.drain()
             stats = client.stats()
@@ -191,3 +192,87 @@ def test_observability_opt_out():
             # but no core hook state was recorded
             (metric,) = stats["obs"]["metrics"]
             assert "collapses_by_level" not in metric
+
+
+# -- one registry behind STATS and Prometheus ---------------------------------
+
+
+def _prom_samples(prom, family):
+    """``{labels: value}`` for every sample of *family* on the page."""
+    pattern = r"^%s(\{[^}]*\})? (\S+)$" % re.escape(family)
+    return {
+        labels or "": float(value)
+        for labels, value in re.findall(pattern, prom, re.M)
+    }
+
+
+def test_prometheus_renders_the_stats_registry():
+    with ServerThread(n_shards=2) as server:
+        with QuantileClient("127.0.0.1", server.port) as client:
+            for i in range(6):
+                client.create(f"one/{i}", kind="adaptive", eps=0.02)
+                client.ingest(f"one/{i}", np.arange(1000.0 * (i + 1)))
+            client.drain()
+            client.quantile("one/0", 0.5)
+            stats = client.stats(detail=1)
+    prom = stats["prometheus"]
+    elements = _prom_samples(prom, "repro_service_ingest_elements")
+    assert sorted(elements) == ['{shard="0"}', '{shard="1"}']
+    assert sum(elements.values()) == stats["ingest"]["elements"] == 21_000
+    for shard in stats["shards"]:
+        key = '{shard="%d"}' % shard["shard"]
+        assert elements[key] == shard["ingest_elements"]
+    assert _prom_samples(prom, "repro_service_queries") == {"": 1.0}
+    assert 'repro_service_op_latency_ms{op="INGEST",quantile="0.5"}' in prom
+    assert 'repro_service_op_latency_ms_count{op="QUERY"} 1' in prom
+    # distributions that are not durations carry no time unit
+    assert 'repro_service_ingest_batch_size{quantile="0.9"}' in prom
+    assert "batch_size_ms" not in prom and "frames_per_read_ms" not in prom
+    # one percentile set: the sketch instruments' p50/p90/p99
+    for pcts in (
+        stats["queries"]["latency_ms"],
+        stats["ingest"]["batch_size"],
+        stats["coalescing"]["frames_per_read"],
+    ):
+        assert {"p50", "p90", "p99", "n"} <= set(pcts)
+        assert "p95" not in pcts
+    assert stats["ingest"]["batch_size"]["n"] == 6
+    assert stats["obs"]["counters"]["service.ingest.batches"] == 6
+
+
+def test_service_families_without_observability():
+    # another registry holds the gate: the server must not see its
+    # core.* families, and must still record its own service.* ones
+    other = hooks.enable()
+    with ServerThread(n_shards=1, observability=False) as server:
+        with QuantileClient("127.0.0.1", server.port) as client:
+            client.create("s", kind="adaptive", eps=0.05)
+            client.ingest("s", np.arange(5000, dtype=np.float64))
+            client.drain()
+            stats = client.stats(detail=1)
+    prom = stats["prometheus"]
+    assert _prom_samples(prom, "repro_service_ingest_elements") == {
+        '{shard="0"}': 5000.0
+    }
+    assert "repro_service_connections_total 1" in prom
+    assert "repro_core_" not in prom
+    counters = stats["obs"]["counters"]
+    assert counters["service.ingest.elements"] == 5000
+    assert not [name for name in counters if name.startswith("core.")]
+    assert stats["obs"]["enabled"] is False
+    assert other.total("core.elements_ingested") >= 5000
+
+
+def test_each_server_starts_from_zero():
+    with ServerThread(n_shards=1) as first:
+        with QuantileClient("127.0.0.1", first.port) as client:
+            client.create("z", kind="adaptive", eps=0.05)
+            client.ingest("z", np.arange(1000, dtype=np.float64))
+            client.drain()
+            assert client.stats()["ingest"]["elements"] == 1000
+    with ServerThread(n_shards=1) as second:
+        with QuantileClient("127.0.0.1", second.port) as client:
+            stats = client.stats()
+    assert stats["ingest"]["elements"] == 0
+    assert stats["queries"]["count"] == 0
+    assert stats["obs"]["counters"].get("core.elements_ingested", 0) == 0

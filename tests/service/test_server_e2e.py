@@ -36,8 +36,8 @@ def client_for(server):
 class TestBasics:
     def test_create_ingest_query(self, server):
         with client_for(server) as client:
-            assert client.create("t/m", kind="adaptive", epsilon=0.02)
-            assert not client.create("t/m", kind="adaptive", epsilon=0.02)
+            assert client.create("t/m", kind="adaptive", eps=0.02)
+            assert not client.create("t/m", kind="adaptive", eps=0.02)
             client.ingest("t/m", np.arange(1000.0))
             values, bound, n = client.query("t/m", [0.5])
             assert n == 1000
@@ -53,9 +53,9 @@ class TestBasics:
 
     def test_conflicting_create_rejected(self, server):
         with client_for(server) as client:
-            client.create("t/m", kind="fixed", epsilon=0.01, n=1000)
+            client.create("t/m", kind="fixed", eps=0.01, n=1000)
             with pytest.raises(ConfigurationError, match="exists"):
-                client.create("t/m", kind="fixed", epsilon=0.05, n=1000)
+                client.create("t/m", kind="fixed", eps=0.05, n=1000)
 
     def test_pipelined_ingest(self, server):
         with client_for(server) as client:
@@ -80,7 +80,7 @@ class TestBasics:
 
     def test_fetch_round_trips(self, server):
         with client_for(server) as client:
-            client.create("t/m", kind="fixed", epsilon=0.02, n=10_000)
+            client.create("t/m", kind="fixed", eps=0.02, n=10_000)
             data = np.random.default_rng(0).normal(size=10_000)
             client.ingest("t/m", data)
             fw = client.fetch("t/m")
@@ -102,7 +102,7 @@ class TestConcurrentIngest:
         parts = np.split(data, self.N_CLIENTS)
 
         with client_for(server) as admin:
-            admin.create("load/m", kind="fixed", epsilon=0.02, n=total)
+            admin.create("load/m", kind="fixed", eps=0.02, n=total)
 
         errors = []
 
@@ -151,9 +151,9 @@ class TestCrashRecovery:
         ).start()
         try:
             with client_for(srv) as client:
-                client.create("t/fixed", kind="fixed", epsilon=0.02,
+                client.create("t/fixed", kind="fixed", eps=0.02,
                               n=30_000)
-                client.create("t/adaptive", kind="adaptive", epsilon=0.02)
+                client.create("t/adaptive", kind="adaptive", eps=0.02)
                 for _ in range(5):
                     client.ingest("t/fixed", rng.normal(size=2_000))
                     client.ingest("t/adaptive", rng.exponential(size=800))
