@@ -1,26 +1,34 @@
 #!/usr/bin/env python
 """CI smoke: a real server's peak memory follows sketch state, not traffic.
 
-The server decodes INGEST values as zero-copy views into whole socket
-reads (up to 4 MiB each).  An engine that kept such a view would pin the
-chunk for as long as the metric lives, so a server with many cold
-metrics would grow by about one chunk per metric that ever saw a batch.
-This smoke reproduces that traffic shape against a real process:
+Two phases, each against a fresh ``python -m repro serve --data-dir``
+subprocess, each failing on the growth of the server's peak resident
+set (``VmHWM`` in ``/proc/<pid>/status``) past its post-CREATE value.
 
-1. start ``python -m repro serve --data-dir`` as a subprocess;
-2. create one paper metric and 64 KLL metrics, then read the server's
-   peak resident set (``VmHWM`` in ``/proc/<pid>/status``);
-3. run 64 rounds, each a pipelined 1 MiB batch to the paper metric plus
-   the first 64-value batch of one KLL metric, with a flush and a drain
-   after each round;
-4. fail if ``VmHWM`` grew more than 24 MiB past its post-CREATE value,
-   or if any metric's count is wrong.
+**Receive chunks.**  The server decodes INGEST values as zero-copy views
+into whole socket reads (up to 4 MiB each).  An engine that kept such a
+view would pin the chunk for as long as the metric lives, so a server
+with many cold metrics would grow by about one chunk per metric that
+ever saw a batch.  The phase creates one paper metric and 64 KLL
+metrics, then runs 64 rounds, each a pipelined 1 MiB batch to the
+paper metric plus the first 64-value batch of one KLL metric, with a
+flush and a drain after each round.  Limit: +24 MiB.
 
-Linux only (reads ``/proc``).  Exit code 0 on success.
+**Per-request bookkeeping.**  Every INGEST carries an idempotency
+token the server remembers (up to 65 536 of them) and counts toward
+its recent ingest rate.  Both ledgers are flat arrays, so a full token
+window costs a couple of MiB; one Python object per batch would cost
+about 20.  The phase sends 65 536 pipelined one-value INGESTs to one
+metric.  Limit: +10 MiB.
+
+Either phase also fails if a metric's count is wrong.  Linux only
+(reads ``/proc``).  Exit code 0 on success.
 
 Usage::
 
     PYTHONPATH=src python scripts/memory_smoke.py [--port 7458]
+
+The second phase listens on ``port + 1``.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ ROUNDS = 64
 BIG = (1 << 20) // 8  # values in a 1 MiB batch
 SMALL = 64
 MAX_GROWTH_MIB = 24.0
+
+#: one-value INGESTs of the bookkeeping phase (a full token window)
+N_TINY = 65536
+MAX_TINY_GROWTH_MIB = 10.0
 
 
 def start_server(port: int, data_dir: str) -> subprocess.Popen:
@@ -83,19 +95,24 @@ def peak_rss_mib(pid: int) -> float:
     raise SystemExit("no VmHWM in /proc status")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--port", type=int, default=7458)
-    args = parser.parse_args(argv)
+def stop_server(proc: subprocess.Popen) -> None:
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
+
+def chunk_phase(port: int) -> float:
+    """VmHWM growth (MiB) over the receive-chunk traffic."""
     rng = np.random.default_rng(2026)
     big = rng.lognormal(size=BIG)
     small = rng.lognormal(size=SMALL)
-
     with tempfile.TemporaryDirectory(prefix="repro-memory-") as data_dir:
-        proc = start_server(args.port, data_dir)
+        proc = start_server(port, data_dir)
         try:
-            with QuantileClient("127.0.0.1", args.port) as client:
+            with QuantileClient("127.0.0.1", port) as client:
                 client.create("mem/paper", eps=0.01, n=1 << 30)
                 for i in range(N_KLL):
                     client.create(f"mem/kll/{i}", engine="kll", eps=0.01)
@@ -111,21 +128,55 @@ def main(argv=None) -> int:
                     n = client.describe(f"mem/kll/{i}")["n"]
                     assert n == SMALL * (ROUNDS // N_KLL), (i, n)
         finally:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-
-    growth = peak - base
+            stop_server(proc)
     print(
-        f"memory smoke: VmHWM {base:.1f} MiB after CREATE, {peak:.1f} MiB "
-        f"after {ROUNDS} rounds (+{growth:.1f} MiB, limit "
+        f"chunk phase: VmHWM {base:.1f} MiB after CREATE, {peak:.1f} MiB "
+        f"after {ROUNDS} rounds (+{peak - base:.1f} MiB, limit "
         f"+{MAX_GROWTH_MIB:.0f} MiB)"
     )
-    if growth > MAX_GROWTH_MIB:
+    return peak - base
+
+
+def bookkeeping_phase(port: int) -> float:
+    """VmHWM growth (MiB) over a full window of one-value INGESTs."""
+    value = np.ones(1)
+    with tempfile.TemporaryDirectory(prefix="repro-memory-") as data_dir:
+        proc = start_server(port, data_dir)
+        try:
+            with QuantileClient("127.0.0.1", port) as client:
+                client.create("mem/tiny", engine="kll", eps=0.01)
+                base = peak_rss_mib(proc.pid)
+                for _ in range(N_TINY):
+                    client.ingest_nowait("mem/tiny", value)
+                client.flush()
+                client.drain()
+                peak = peak_rss_mib(proc.pid)
+                tokens = client.stats()["resilience"]["dedup_window_tokens"]
+                assert client.describe("mem/tiny")["n"] == N_TINY
+                assert tokens == N_TINY, tokens
+        finally:
+            stop_server(proc)
+    print(
+        f"bookkeeping phase: VmHWM {base:.1f} MiB after CREATE, "
+        f"{peak:.1f} MiB after {N_TINY} one-value INGESTs "
+        f"(+{peak - base:.1f} MiB, limit +{MAX_TINY_GROWTH_MIB:.0f} MiB)"
+    )
+    return peak - base
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--port", type=int, default=7458)
+    args = parser.parse_args(argv)
+
+    failed = False
+    if chunk_phase(args.port) > MAX_GROWTH_MIB:
         print("FAIL: peak memory grew with traffic, not sketch state")
+        failed = True
+    if bookkeeping_phase(args.port + 1) > MAX_TINY_GROWTH_MIB:
+        print("FAIL: per-request bookkeeping grew by a Python object a batch")
+        failed = True
+    if failed:
         return 1
     print("memory smoke ok")
     return 0

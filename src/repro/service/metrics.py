@@ -23,8 +23,8 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Tuple
+from array import array
+from typing import Any, Dict, Optional
 
 from ..analysis.memory import report_memory
 from ..obs import hooks as obs_hooks
@@ -36,33 +36,67 @@ __all__ = ["RecentRate", "stats_view"]
 #: window for the "recent" ingest rate, seconds
 _RATE_WINDOW_S = 10.0
 
+#: resolution of that window, seconds per bucket
+_RATE_BUCKET_S = 0.1
+_RATE_BUCKETS = round(_RATE_WINDOW_S / _RATE_BUCKET_S)
+
 #: ``ru_maxrss`` unit: KiB on Linux, bytes on macOS
 _MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
 
 
 class RecentRate:
-    """Elements/s ingested over the trailing ``_RATE_WINDOW_S``."""
+    """Elements/s ingested over the trailing ``_RATE_WINDOW_S``.
+
+    A fixed ring of per-``_RATE_BUCKET_S`` element counts, so memory is
+    constant however many batches arrive.  A bucket leaves the window
+    whole, so the rate matches an exact per-event window to within one
+    bucket.
+    """
+
+    __slots__ = ("_counts", "_tick", "_since")
 
     def __init__(self) -> None:
-        self._events: Deque[Tuple[float, int]] = deque()
+        self._counts = array("q", (0,)) * _RATE_BUCKETS
+        #: bucket number (monotonic time // bucket width) of the newest
+        #: bucket in the ring
+        self._tick = 0
+        #: monotonic time of the first event, None before it
+        self._since: Optional[float] = None
+
+    def _advance(self, now: float) -> int:
+        """Move the ring up to *now*'s bucket, zeroing the buckets that
+        left the window; return that bucket's number."""
+        tick = int(now // _RATE_BUCKET_S)
+        stale = min(tick - self._tick, _RATE_BUCKETS)
+        if stale > 0:
+            counts = self._counts
+            for t in range(tick - stale + 1, tick + 1):
+                counts[t % _RATE_BUCKETS] = 0
+            self._tick = tick
+        return tick
 
     def add(self, n_values: int) -> None:
         now = time.monotonic()
-        events = self._events
-        events.append((now, n_values))
-        horizon = now - _RATE_WINDOW_S
-        while events[0][0] < horizon:
-            events.popleft()
+        if self._since is None:
+            self._since = now
+        self._counts[self._advance(now) % _RATE_BUCKETS] += n_values
 
     def rate(self) -> float:
-        events = self._events
-        if not events:
+        if self._since is None:
             return 0.0
         now = time.monotonic()
-        horizon = now - _RATE_WINDOW_S
-        total = sum(n for t, n in events if t >= horizon)
-        span = min(_RATE_WINDOW_S, max(now - events[0][0], 1e-9))
-        return total / span
+        tick = self._advance(now)
+        counts = self._counts
+        total = sum(counts)
+        if not total:
+            return 0.0
+        # the span starts at the oldest bucket still holding events (or
+        # at the first event ever, if that is later)
+        age = _RATE_BUCKETS - 1
+        while not counts[(tick - age) % _RATE_BUCKETS]:
+            age -= 1
+        start = max(self._since, (tick - age) * _RATE_BUCKET_S)
+        return total / min(_RATE_WINDOW_S, max(now - start, 1e-9))
 
 
 def _obs_section(
@@ -105,6 +139,7 @@ def _obs_section(
     metrics.gauge("service.process.peak_rss_bytes").set(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_SCALE
     )
+    metrics.gauge("service.dedup.window_bytes").set(registry.dedup.nbytes)
     names = metrics.names()
     return {
         "enabled": obs_hooks.is_enabled() and obs_hooks.registry() is metrics,
@@ -182,6 +217,7 @@ def stats_view(
         "resilience": {
             "dedup_window_tokens": len(registry.dedup),
             "dedup_hits": registry.dedup.hits,
+            "dedup_window_bytes": registry.dedup.nbytes,
             "backpressure_flushes": value("service.backpressure_flushes"),
         },
         "registry": {

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import time
 import zlib
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from array import array
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +55,32 @@ __all__ = [
 #: client fleet can have in flight; the bound only exists so a
 #: long-running server cannot grow without limit.
 DEFAULT_DEDUP_CAPACITY = 65536
+
+#: ring slots a fresh dedup window starts with; the ring doubles from
+#: here up to its capacity as tokens arrive
+_DEDUP_INITIAL_SLOTS = 64
+
+#: the response shapes the server records, as (field names, field
+#: types); a shape's code in the dedup window is its index + 1, and code
+#: 0 means the response is kept whole in the window's side dict
+_SHAPES: Tuple[Tuple[Tuple[str, ...], Tuple[type, ...]], ...] = (
+    (("seq", "count"), (int, int)),
+    (("created",), (bool,)),
+    (("added",), (bool,)),
+    (("removed",), (bool,)),
+    (("replaced", "seq"), (bool, int)),
+)
+#: field names -> (shape code, first field type, second field type); a
+#: one-field shape's absent second field packs as the int 0
+_SHAPE_CODES = {
+    names: (code, types[0], types[-1] if len(types) > 1 else int)
+    for code, (names, types) in enumerate(_SHAPES, 1)
+}
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_U64_MASK = (1 << 64) - 1
+#: multiplicative (Fibonacci) hashing constant, 2**64 / golden ratio
+_FIBONACCI = 0x9E3779B97F4A7C15
 
 #: design capacity for fixed metrics created without ``n`` (mirrors
 #: :data:`repro.core.sketch.DEFAULT_DESIGN_N`)
@@ -189,12 +215,12 @@ class _Shard:
 class DedupWindow:
     """Bounded token -> response map: exactly-once for retried mutations.
 
-    Every mutating request (CREATE/INGEST/SNAPSHOT) may carry a
-    client-generated 64-bit idempotency token.  The first time a token is
-    seen, the mutation is applied and its response recorded here; a retry
-    with the same token -- the client lost the ack to a reset, stall or
-    crash -- replays the *recorded* response without touching the
-    sketches, so a batch is never double-counted.
+    Every mutating request (CREATE/INGEST/SNAPSHOT/RESTORE/WATCH/UNWATCH)
+    may carry a client-generated 64-bit idempotency token.  The first
+    time a token is seen, the mutation is applied and its response
+    recorded here; a retry with the same token -- the client lost the ack
+    to a reset, stall or crash -- replays the *recorded* response without
+    touching the sketches, so a batch is never double-counted.
 
     The window is journal-backed: tokens ride in the journal records
     (format v2), and recovery re-records them, so dedup survives a server
@@ -203,18 +229,36 @@ class DedupWindow:
     bound this makes the guarantee a *window* -- ample for retry
     horizons of seconds against snapshot intervals of tens of seconds.
 
-    The layout is compact because a busy server keeps the window full.
-    A response dict is stored as the tuple ``(field names, *values)``,
-    its field-name tuple shared by every response of the same shape, and
-    ``get`` rebuilds a fresh dict; any other response is stored as
-    ``(None, response)``.  Eviction order is a deque of tokens beside a
-    plain dict instead of an ``OrderedDict``.  Re-recording a live token
-    moves it to the back of that queue -- an O(window) scan, but the
+    A busy server keeps the window full, so it is stored in flat typed
+    arrays, about 33 bytes per token rather than a Python object per
+    entry:
+
+    * a FIFO *ring* of slots, one column each for the token (``u64``,
+      0 = free slot), two ``int64`` response fields and a one-byte
+      response-shape code drawn from :data:`_SHAPES` (the shapes the
+      server records; bool fields come back as bools);
+    * an open-addressing *index* (linear probing, load <= 1/2) from
+      token to ring slot, holding ``slot + 1`` so that 0 marks an empty
+      position;
+    * a side dict, keyed by ring slot, for any other response --
+      SNAPSHOT's ``path``, non-dict values, ints outside int64.
+
+    The ring starts small and doubles up to ``capacity`` (a node that
+    sees a few thousand tokens never pays for 65 536).  Growth keeps
+    every slot number and rebuilds the index from the token column, so
+    it never builds a Python object per entry.
+    ``get`` builds a fresh dict with the original field order.
+    Re-recording a live token moves it to the back of the FIFO: its old
+    slot becomes a hole, which eviction skips and which the ring closes,
+    once it is full of holes, with one vectorised compaction.  The
     server only records tokens it just missed, so that happens at most
     on journal replay of a duplicated token.
     """
 
-    __slots__ = ("capacity", "_entries", "_order", "_shapes", "hits")
+    __slots__ = (
+        "capacity", "hits", "_tokens", "_first", "_second", "_codes",
+        "_side", "_index", "_shift", "_head", "_used", "_live",
+    )
 
     def __init__(self, capacity: int = DEFAULT_DEDUP_CAPACITY) -> None:
         if capacity < 1:
@@ -222,47 +266,247 @@ class DedupWindow:
                 f"dedup window needs capacity >= 1, got {capacity}"
             )
         self.capacity = capacity
-        self._entries: Dict[int, tuple] = {}
-        #: live tokens, oldest first
-        self._order: Deque[int] = deque()
-        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.hits = 0
+        size = min(_DEDUP_INITIAL_SLOTS, capacity)
+        self._tokens = _zeros("Q", size)
+        self._first = _zeros("q", size)
+        self._second = _zeros("q", size)
+        self._codes = _zeros("B", size)
+        #: ring slot -> response, for responses of no known shape
+        self._side: Dict[int, object] = {}
+        #: ring slot of the oldest position
+        self._head = 0
+        #: ring positions from the head on, holes included
+        self._used = 0
+        #: tokens in the window
+        self._live = 0
+        self._reindex()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._live
 
     def __contains__(self, token: int) -> bool:
-        return token in self._entries
+        return self._probe(token) >= 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the ring columns and the index."""
+        return sum(
+            col.itemsize * len(col)
+            for col in (
+                self._tokens, self._first, self._second, self._codes,
+                self._index,
+            )
+        )
 
     def get(self, token: int) -> Optional[Dict[str, object]]:
         """The recorded response for *token*, or None if unseen/evicted."""
-        hit = self._entries.get(token)
-        if hit is None:
+        slot = self._probe(token)
+        if slot < 0:
             return None
         self.hits += 1
-        keys = hit[0]
-        if keys is None:
-            return hit[1]
-        return dict(zip(keys, hit[1:]))
+        code = self._codes[slot]
+        if code == 0:
+            stored = self._side[slot]
+            return dict(stored) if type(stored) is dict else stored
+        names, types = _SHAPES[code - 1]
+        first = types[0](self._first[slot])
+        if len(names) == 1:
+            return {names[0]: first}
+        return {names[0]: first, names[1]: types[1](self._second[slot])}
 
     def record(self, token: int, response: Dict[str, object]) -> None:
         """Remember *response* for *token* (token 0 means "no token")."""
         if token == 0:
             return
-        if type(response) is dict:
-            keys = tuple(response)
-            # the server records a handful of shapes; share their names
-            keys = self._shapes.setdefault(keys, keys)
-            stored = (keys, *response.values())
+        if not 0 < token <= _U64_MASK:
+            raise ValueError(f"idempotency token {token} is not a u64")
+        found = self._probe(token)
+        # a miss ends on the empty index position the token would take,
+        # valid as long as nothing below moves index entries
+        position = ~found
+        if found >= 0:
+            self._drop(found)  # re-recorded: goes to the back
+        elif self._live == self.capacity:
+            self._evict_oldest()
+            position = -1
+        size = len(self._tokens)
+        if self._used == size:
+            if size < self.capacity:
+                self._grow()
+            else:
+                self._compact()
+            size = len(self._tokens)
+            position = -1
+        slot = (self._head + self._used) % size
+        self._used += 1
+        self._live += 1
+        self._tokens[slot] = token
+        packed = _pack_response(response)
+        if packed is None:
+            self._codes[slot] = 0
+            self._side[slot] = (
+                dict(response) if type(response) is dict else response
+            )
         else:
-            stored = (None, response)
-        entries = self._entries
-        if token in entries:
-            self._order.remove(token)
-        entries[token] = stored
-        self._order.append(token)
-        while len(entries) > self.capacity:
-            del entries[self._order.popleft()]
+            self._codes[slot], self._first[slot], self._second[slot] = packed
+        if position >= 0:
+            self._index[position] = slot + 1
+        else:
+            self._insert(slot)
+
+    # -- ring --------------------------------------------------------------
+
+    def _drop(self, slot: int) -> None:
+        """Forget the token in *slot*, leaving a hole."""
+        self._unindex(slot)
+        self._tokens[slot] = 0
+        self._side.pop(slot, None)
+        self._live -= 1
+
+    def _evict_oldest(self) -> None:
+        """Drop the oldest token, past any holes re-records left."""
+        tokens = self._tokens
+        size = len(tokens)
+        head = self._head
+        while not tokens[head]:
+            head = (head + 1) % size
+            self._used -= 1
+        self._drop(head)
+        self._head = (head + 1) % size
+        self._used -= 1
+
+    def _grow(self) -> None:
+        """Double the ring, up to ``capacity``, keeping every slot.
+
+        Only a ring smaller than ``capacity`` grows, and such a ring has
+        never evicted, so its head is slot 0 and the new slots go after
+        the newest one.
+        """
+        size = len(self._tokens)
+        new_size = min(2 * size, self.capacity)
+        for name in ("_tokens", "_first", "_second", "_codes"):
+            old = getattr(self, name)
+            col = _zeros(old.typecode, new_size)
+            col[:size] = old
+            setattr(self, name, col)
+        self._reindex()
+
+    def _compact(self) -> None:
+        """Close the holes of a full ring: live slots move, oldest first,
+        to slots 0.. and the index is rebuilt."""
+        size = len(self._tokens)
+        order = (self._head + np.arange(self._used)) % size
+        live = order[_column(self._tokens)[order] != 0]
+        for col in (self._tokens, self._first, self._second, self._codes):
+            view = _column(col)
+            packed = view[live]
+            view[:] = 0
+            view[: live.size] = packed
+        moved = np.empty(size, dtype=np.intp)
+        moved[live] = np.arange(live.size)
+        self._side = {int(moved[s]): v for s, v in self._side.items()}
+        self._head = 0
+        self._used = int(live.size)
+        self._reindex()
+
+    # -- index -------------------------------------------------------------
+
+    def _reindex(self) -> None:
+        """Rebuild the index for the ring's live slots at load <= 1/2.
+
+        One insert per live token, straight from the ring columns: no
+        per-entry objects and no temporaries beyond the new index.
+        """
+        bits = (2 * len(self._tokens) - 1).bit_length()
+        self._shift = 64 - bits
+        self._index = _zeros("I", 1 << bits)
+        tokens = self._tokens
+        for slot in range(len(tokens)):
+            if tokens[slot]:
+                self._insert(slot)
+
+    def _probe(self, token: int) -> int:
+        """The ring slot holding *token*; on a miss, ``~position`` of the
+        empty index position that ended the probe (always negative)."""
+        index, tokens = self._index, self._tokens
+        mask = len(index) - 1
+        i = ((token * _FIBONACCI) & _U64_MASK) >> self._shift
+        while True:
+            entry = index[i]
+            if not entry:
+                return ~i
+            if tokens[entry - 1] == token:
+                return entry - 1
+            i = (i + 1) & mask
+
+    def _insert(self, slot: int) -> None:
+        index = self._index
+        mask = len(index) - 1
+        i = ((self._tokens[slot] * _FIBONACCI) & _U64_MASK) >> self._shift
+        while index[i]:
+            i = (i + 1) & mask
+        index[i] = slot + 1
+
+    def _unindex(self, slot: int) -> None:
+        """Remove *slot*'s index entry by backward-shift deletion: later
+        entries of the probe run move into the gap unless their home
+        position lies between the gap and where they sit."""
+        index, tokens, shift = self._index, self._tokens, self._shift
+        mask = len(index) - 1
+        i = ((tokens[slot] * _FIBONACCI) & _U64_MASK) >> shift
+        while index[i] != slot + 1:
+            i = (i + 1) & mask
+        j = i
+        while True:
+            j = (j + 1) & mask
+            entry = index[j]
+            if entry == 0:
+                break
+            home = ((tokens[entry - 1] * _FIBONACCI) & _U64_MASK) >> shift
+            if (j - home) & mask >= (j - i) & mask:
+                index[i] = entry
+                i = j
+        index[i] = 0
+
+
+def _zeros(typecode: str, n: int) -> array:
+    """A zeroed typed array of exactly *n* items (no over-allocation)."""
+    return array(typecode, (0,)) * n
+
+
+#: numpy views onto the dedup window's typed arrays, by array typecode
+_NP_TYPES = {"Q": np.ulonglong, "q": np.longlong, "B": np.ubyte, "I": np.uintc}
+
+
+def _column(col: array) -> np.ndarray:
+    """A writable numpy view of *col* (do not keep it: a viewed array
+    cannot be replaced in place)."""
+    return np.frombuffer(col, dtype=_NP_TYPES[col.typecode])
+
+
+def _pack_response(
+    response: object,
+) -> Optional[Tuple[int, int, int]]:
+    """``(shape code, first, second)`` for a response of a shape in
+    :data:`_SHAPES` whose fields have exactly the listed types and fit
+    in int64 (a one-field shape packs 0 as its second field), else
+    None."""
+    if type(response) is not dict:
+        return None
+    shape = _SHAPE_CODES.get(tuple(response))
+    if shape is None:
+        return None
+    code, first_type, second_type = shape
+    first, second = (*response.values(), 0)[:2]
+    if (
+        type(first) is first_type
+        and type(second) is second_type
+        and _I64_MIN <= first <= _I64_MAX
+        and _I64_MIN <= second <= _I64_MAX
+    ):
+        return code, first, second
+    return None
 
 
 def shard_of(name: str, n_shards: int) -> int:

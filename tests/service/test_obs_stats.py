@@ -134,12 +134,19 @@ def test_memory_gauges_in_stats_and_prometheus(tmp_path):
     peak = gauges["service.process.peak_rss_bytes"]
     assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     assert gauges["service.snapshot.last_bytes"] == snapshot_bytes
+    # the exactly-once window holds the five tokened mutations above
+    window_bytes = stats["resilience"]["dedup_window_bytes"]
+    assert stats["resilience"]["dedup_window_tokens"] == 5
+    assert 0 < window_bytes < 8192  # its initial ring, not its capacity
+    assert gauges["service.dedup.window_bytes"] == window_bytes
 
     prom = stats["prometheus"]
     assert "# TYPE repro_service_process_peak_rss_bytes gauge" in prom
     assert f"repro_service_process_peak_rss_bytes {float(peak)!r}" in prom
     assert "# TYPE repro_service_snapshot_last_bytes gauge" in prom
     assert f"repro_service_snapshot_last_bytes {float(snapshot_bytes)!r}" in prom
+    assert "# TYPE repro_service_dedup_window_bytes gauge" in prom
+    assert f"repro_service_dedup_window_bytes {float(window_bytes)!r}" in prom
 
 
 def test_client_quantiles_and_describe(server_and_client):
