@@ -46,18 +46,15 @@ Package layout
   :mod:`repro.engine` / :mod:`repro.analysis` -- applications and
   measurement.
 
-The pre-facade import paths (``from repro import QuantileSketch``, ...)
-keep working but emit one :class:`DeprecationWarning` per name; the
-canonical homes are :mod:`repro.core` and the facade above.
+Every export resolves on first attribute access, so ``import repro``
+loads no submodule until one is used.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
+from typing import TYPE_CHECKING
 
-from . import obs
-from .api import Bank, Sketch, connect, hist
+from ._lazy import attach
 
 __version__ = "1.1.0"
 
@@ -70,58 +67,12 @@ __all__ = [
     "__version__",
 ]
 
-#: legacy top-level name -> (canonical module, attribute, facade hint)
-_LEGACY = {
-    "QuantileSketch": ("repro.core", "QuantileSketch", "repro.Sketch(eps=...)"),
-    "AdaptiveQuantileSketch": (
-        "repro.core",
-        "AdaptiveQuantileSketch",
-        "repro.Sketch(eps=...)",
-    ),
-    "QuantileFramework": ("repro.core", "QuantileFramework", None),
-    "ParallelQuantileEngine": ("repro.core", "ParallelQuantileEngine", None),
-    "approximate_quantiles": ("repro.core", "approximate_quantiles", None),
-    "optimal_parameters": ("repro.core", "optimal_parameters", None),
-    "MultiColumnSketcher": (
-        "repro.multicolumn",
-        "MultiColumnSketcher",
-        "repro.Bank(eps=...)",
-    ),
-    "exact_quantile_two_pass": (
-        "repro.twopass",
-        "exact_quantile_two_pass",
-        None,
-    ),
-    "verify_guarantee": ("repro.validation", "verify_guarantee", None),
-}
+__getattr__, __dir__ = attach(
+    __name__,
+    submodules=["obs"],
+    submod_attrs={"api": ["Sketch", "Bank", "connect", "hist"]},
+)
 
-_warned: set = set()
-
-
-def _reset_deprecation_warnings() -> None:
-    """Forget which legacy names already warned (test isolation)."""
-    _warned.clear()
-
-
-def __getattr__(name: str) -> Any:
-    entry = _LEGACY.get(name)
-    if entry is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    module_path, attr, hint = entry
-    if name not in _warned:
-        _warned.add(name)
-        suggestion = f"import it from {module_path}"
-        if hint:
-            suggestion += f" or use the facade ({hint})"
-        warnings.warn(
-            f"'repro.{name}' is deprecated; {suggestion}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_path), attr)
-
-
-def __dir__() -> list:
-    return sorted(set(__all__) | set(_LEGACY))
+if TYPE_CHECKING:
+    from . import obs
+    from .api import Bank, Sketch, connect, hist

@@ -69,38 +69,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-
-from .analysis import format_memory
 from .core.errors import ConfigurationError, ReproError
-from .core.parameters import optimal_parameters
-from .core.sampling import choose_strategy, optimize_alpha, sampling_threshold
-from .core.sketch import QuantileSketch
-from .streams import (
-    FileStream,
-    alternating_extremes_stream,
-    clustered_stream,
-    normal_stream,
-    random_permutation_stream,
-    reverse_sorted_stream,
-    sorted_stream,
-    uniform_stream,
-    write_stream,
-    zipf_stream,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core.sketch import QuantileSketch
 
 __all__ = ["main"]
 
+#: ``generate --kind`` -> (:mod:`repro.streams` generator, takes ``seed=``)
 _GENERATORS = {
-    "sorted": lambda n, seed: sorted_stream(n),
-    "reverse": lambda n, seed: reverse_sorted_stream(n),
-    "random": random_permutation_stream,
-    "uniform": lambda n, seed: uniform_stream(n, seed=seed),
-    "normal": lambda n, seed: normal_stream(n, seed=seed),
-    "zipf": lambda n, seed: zipf_stream(n, seed=seed),
-    "clustered": lambda n, seed: clustered_stream(n, seed=seed),
-    "alternating": lambda n, seed: alternating_extremes_stream(n),
+    "sorted": ("sorted_stream", False),
+    "reverse": ("reverse_sorted_stream", False),
+    "random": ("random_permutation_stream", True),
+    "uniform": ("uniform_stream", True),
+    "normal": ("normal_stream", True),
+    "zipf": ("zipf_stream", True),
+    "clustered": ("clustered_stream", True),
+    "alternating": ("alternating_extremes_stream", False),
 }
 
 #: seconds between node health sweeps of a supervised cluster
@@ -108,6 +97,15 @@ _HEALTH_INTERVAL_S = 1.0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .analysis import format_memory
+    from .core.parameters import optimal_parameters
+    from .core.sampling import (
+        SamplingPlan,
+        choose_strategy,
+        optimize_alpha,
+        sampling_threshold,
+    )
+
     for policy in ("new", "munro-paterson", "alsabti-ranka-singh"):
         plan = optimal_parameters(args.epsilon, args.n, policy=policy)
         h = f", h={plan.height}" if plan.height is not None else ""
@@ -125,16 +123,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             f"bk={format_memory(sampled.memory)}"
         )
         print(f"sampling pays off above N ~ {threshold:.3e}")
-        from .core.sampling import SamplingPlan
-
         mode = "sampling" if isinstance(chosen, SamplingPlan) else "direct"
         print(f"recommended for N={args.n}: {mode}")
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    stream = _GENERATORS[args.kind](args.n, args.seed)
-    n = write_stream(args.output, stream.chunks())
+    from . import streams
+
+    generator, seeded = _GENERATORS[args.kind]
+    make = getattr(streams, generator)
+    stream = make(args.n, seed=args.seed) if seeded else make(args.n)
+    n = streams.write_stream(args.output, stream.chunks())
     print(f"wrote {n} elements ({args.kind}) to {args.output}")
     return 0
 
@@ -154,6 +154,8 @@ class _StdinStream:
 def _open_stream(path: str):
     """Open *path* as a value stream; ``-`` reads floats from stdin."""
     if path != "-":
+        from .streams import FileStream
+
         return FileStream(path)
     import numpy as np
 
@@ -168,6 +170,8 @@ def _open_stream(path: str):
 
 
 def _build_sketch(args: argparse.Namespace, n: int) -> QuantileSketch:
+    from .core.sketch import QuantileSketch
+
     return QuantileSketch(
         epsilon=args.epsilon,
         n=n,
@@ -177,6 +181,8 @@ def _build_sketch(args: argparse.Namespace, n: int) -> QuantileSketch:
 
 
 def _cmd_quantile(args: argparse.Namespace) -> int:
+    from .analysis import format_memory
+
     stream = _open_stream(args.input)
     if stream.n == 0:
         print("error: stream is empty", file=sys.stderr)
@@ -197,6 +203,8 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
+    from .streams import FileStream
+
     stream = FileStream(args.input)
     if stream.n == 0:
         print("error: stream is empty", file=sys.stderr)
@@ -269,7 +277,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .service import ChaosProxy, FaultSchedule, QuantileService
+    from .service import QuantileService
 
     watch_interval_s = (
         None if args.watch_interval <= 0 else args.watch_interval
@@ -290,9 +298,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _run() -> None:
+        # handlers first: a supervisor may signal as soon as it reads
+        # the listening line
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         await service.start()
         proxy = None
         if args.chaos:
+            from .service.faults import ChaosProxy, FaultSchedule
+
             proxy = ChaosProxy(
                 service.host,
                 service.port,
@@ -314,10 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({service.n_shards} shards, {durability}{chaos})",
             flush=True,
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stop.set)
         await stop.wait()
         print("shutting down (graceful)", flush=True)
         if proxy is not None:
@@ -527,6 +539,11 @@ def _run_cluster(coord) -> int:
     import signal
     import threading
 
+    # handlers first: a supervisor may signal as soon as it reads the
+    # listening line
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     coord.start()
     durability = (
         f"data_dir={coord.data_dir}" if coord.data_dir else "ephemeral"
@@ -541,9 +558,6 @@ def _run_cluster(coord) -> int:
         f"{coord.vnodes} vnodes/node",
         flush=True,
     )
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
     stop.wait()
     print("shutting down cluster (graceful)", flush=True)
     coord.stop(graceful=True)

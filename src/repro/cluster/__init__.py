@@ -20,18 +20,9 @@ See docs/cluster.md for topology, the manifest format, failover
 semantics and the certified-bound argument for fan-in.
 """
 
-from .client import ClusterClient, merge_tagged
-from .coordinator import ClusterCoordinator, publish_ring_gauges
-from .errors import (
-    ClusterConfigError,
-    ClusterError,
-    ClusterSyncError,
-    NodeUnavailableError,
-    ReplicaEngineMismatchError,
-)
-from .manifest import ClusterManifest, NodeSpec, manifest_path
-from .ring import DEFAULT_VNODES, HashRing, OwnershipDelta, ownership_delta
-from .sync import MetricSyncReport, NodeSyncReport, SyncDriver, delta_donor
+from typing import TYPE_CHECKING
+
+from .._lazy import attach
 
 __all__ = [
     "ClusterClient",
@@ -55,3 +46,45 @@ __all__ = [
     "NodeUnavailableError",
     "ReplicaEngineMismatchError",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    submod_attrs={
+        "client": ["ClusterClient", "merge_tagged"],
+        "coordinator": ["ClusterCoordinator", "publish_ring_gauges"],
+        "errors": [
+            "ClusterConfigError",
+            "ClusterError",
+            "ClusterSyncError",
+            "NodeUnavailableError",
+            "ReplicaEngineMismatchError",
+        ],
+        "manifest": ["ClusterManifest", "NodeSpec", "manifest_path"],
+        "ring": [
+            "DEFAULT_VNODES",
+            "HashRing",
+            "OwnershipDelta",
+            "ownership_delta",
+        ],
+        "sync": [
+            "MetricSyncReport",
+            "NodeSyncReport",
+            "SyncDriver",
+            "delta_donor",
+        ],
+    },
+)
+
+if TYPE_CHECKING:
+    from .client import ClusterClient, merge_tagged
+    from .coordinator import ClusterCoordinator, publish_ring_gauges
+    from .errors import (
+        ClusterConfigError,
+        ClusterError,
+        ClusterSyncError,
+        NodeUnavailableError,
+        ReplicaEngineMismatchError,
+    )
+    from .manifest import ClusterManifest, NodeSpec, manifest_path
+    from .ring import DEFAULT_VNODES, HashRing, OwnershipDelta, ownership_delta
+    from .sync import MetricSyncReport, NodeSyncReport, SyncDriver, delta_donor

@@ -13,71 +13,9 @@ Public surface:
 * :class:`TreeRecorder` -- collapse-tree capture (Figures 2-4, Lemma 5).
 """
 
-from . import kernels
-from .buffer import MINUS_INF, PLUS_INF, Buffer
-from .engines import (
-    ENGINES,
-    ENGINE_NAMES,
-    EngineSpec,
-    dumps_any,
-    engine_of,
-    load_any_from,
-    loads_any,
-)
-from .errors import (
-    CapacityExceededError,
-    ConfigurationError,
-    EmptySummaryError,
-    EngineMismatchError,
-    QueryError,
-    ReproError,
-    SQLSyntaxError,
-    StorageError,
-    StreamExhaustedError,
-    WorkerError,
-)
-from .frugal import FrugalBank, FrugalSketch
-from .kll import KLLSketch
-from .framework import QuantileFramework
-from .operations import (
-    OffsetSelector,
-    augmented_phi,
-    collapse,
-    output,
-    weighted_select,
-)
-from .parallel import ParallelQuantileEngine, merge_frameworks
-from .protocols import DESCRIBE_PHIS, SketchProtocol, describe_dict
-from .parameters import (
-    ClosedFormStats,
-    ParameterPlan,
-    alsabti_ranka_singh_stats,
-    best_over_policies,
-    munro_paterson_stats,
-    new_algorithm_stats,
-    optimal_parameters,
-    parameter_table,
-)
-from .policies import (
-    AlsabtiRankaSinghPolicy,
-    CollapsePolicy,
-    MunroPatersonPolicy,
-    NewPolicy,
-    make_policy,
-)
-from .sampling import (
-    SampledQuantileFramework,
-    SamplingPlan,
-    choose_strategy,
-    hoeffding_sample_size,
-    optimize_alpha,
-    sampling_threshold,
-)
-from .adaptive import AdaptiveQuantileSketch
-from .bank import SketchBank
-from .serialize import dump, dumps, load, loads
-from .sketch import QuantileSketch, approximate_quantiles
-from .tree import TreeNode, TreeRecorder, TreeStats
+from typing import TYPE_CHECKING
+
+from .._lazy import attach
 
 __all__ = [
     "kernels",
@@ -146,3 +84,141 @@ __all__ = [
     "QueryError",
     "SQLSyntaxError",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    submodules=["kernels"],
+    submod_attrs={
+        "buffer": ["MINUS_INF", "PLUS_INF", "Buffer"],
+        "engines": [
+            "ENGINES",
+            "ENGINE_NAMES",
+            "EngineSpec",
+            "dumps_any",
+            "engine_of",
+            "load_any_from",
+            "loads_any",
+        ],
+        "errors": [
+            "CapacityExceededError",
+            "ConfigurationError",
+            "EmptySummaryError",
+            "EngineMismatchError",
+            "QueryError",
+            "ReproError",
+            "SQLSyntaxError",
+            "StorageError",
+            "StreamExhaustedError",
+            "WorkerError",
+        ],
+        "frugal": ["FrugalBank", "FrugalSketch"],
+        "kll": ["KLLSketch"],
+        "framework": ["QuantileFramework"],
+        "operations": [
+            "OffsetSelector",
+            "augmented_phi",
+            "collapse",
+            "output",
+            "weighted_select",
+        ],
+        "parallel": ["ParallelQuantileEngine", "merge_frameworks"],
+        "protocols": ["DESCRIBE_PHIS", "SketchProtocol", "describe_dict"],
+        "parameters": [
+            "ClosedFormStats",
+            "ParameterPlan",
+            "alsabti_ranka_singh_stats",
+            "best_over_policies",
+            "munro_paterson_stats",
+            "new_algorithm_stats",
+            "optimal_parameters",
+            "parameter_table",
+        ],
+        "policies": [
+            "AlsabtiRankaSinghPolicy",
+            "CollapsePolicy",
+            "MunroPatersonPolicy",
+            "NewPolicy",
+            "make_policy",
+        ],
+        "sampling": [
+            "SampledQuantileFramework",
+            "SamplingPlan",
+            "choose_strategy",
+            "hoeffding_sample_size",
+            "optimize_alpha",
+            "sampling_threshold",
+        ],
+        "adaptive": ["AdaptiveQuantileSketch"],
+        "bank": ["SketchBank"],
+        "serialize": ["dump", "dumps", "load", "loads"],
+        "sketch": ["QuantileSketch", "approximate_quantiles"],
+        "tree": ["TreeNode", "TreeRecorder", "TreeStats"],
+    },
+)
+
+if TYPE_CHECKING:
+    from . import kernels
+    from .buffer import MINUS_INF, PLUS_INF, Buffer
+    from .engines import (
+        ENGINES,
+        ENGINE_NAMES,
+        EngineSpec,
+        dumps_any,
+        engine_of,
+        load_any_from,
+        loads_any,
+    )
+    from .errors import (
+        CapacityExceededError,
+        ConfigurationError,
+        EmptySummaryError,
+        EngineMismatchError,
+        QueryError,
+        ReproError,
+        SQLSyntaxError,
+        StorageError,
+        StreamExhaustedError,
+        WorkerError,
+    )
+    from .frugal import FrugalBank, FrugalSketch
+    from .kll import KLLSketch
+    from .framework import QuantileFramework
+    from .operations import (
+        OffsetSelector,
+        augmented_phi,
+        collapse,
+        output,
+        weighted_select,
+    )
+    from .parallel import ParallelQuantileEngine, merge_frameworks
+    from .protocols import DESCRIBE_PHIS, SketchProtocol, describe_dict
+    from .parameters import (
+        ClosedFormStats,
+        ParameterPlan,
+        alsabti_ranka_singh_stats,
+        best_over_policies,
+        munro_paterson_stats,
+        new_algorithm_stats,
+        optimal_parameters,
+        parameter_table,
+    )
+    from .policies import (
+        AlsabtiRankaSinghPolicy,
+        CollapsePolicy,
+        MunroPatersonPolicy,
+        NewPolicy,
+        make_policy,
+    )
+    from .sampling import (
+        SampledQuantileFramework,
+        SamplingPlan,
+        choose_strategy,
+        hoeffding_sample_size,
+        optimize_alpha,
+        sampling_threshold,
+    )
+    from .adaptive import AdaptiveQuantileSketch
+    from .bank import SketchBank
+    from .serialize import dump, dumps, load, loads
+    from .sketch import QuantileSketch, approximate_quantiles
+    from .tree import TreeNode, TreeRecorder, TreeStats

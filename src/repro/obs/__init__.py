@@ -29,20 +29,9 @@ the overhead contract (disabled-mode cost is gated at <2% of ingest in
 the benchmark suite).
 """
 
-from .hooks import (
-    SketchObsStats,
-    collected_stats,
-    disable,
-    enable,
-    is_enabled,
-    registry,
-    reset,
-    stats_for,
-    tracer,
-)
-from .exposition import render_prometheus, render_stats_text
-from .metrics import Counter, Gauge, MetricsRegistry, TimingSketch
-from .trace import JsonLinesSink, TraceEvent, TraceRing, Tracer
+from typing import TYPE_CHECKING
+
+from .._lazy import attach
 
 __all__ = [
     "Counter",
@@ -65,3 +54,39 @@ __all__ = [
     "render_prometheus",
     "render_stats_text",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    submod_attrs={
+        "hooks": [
+            "SketchObsStats",
+            "collected_stats",
+            "disable",
+            "enable",
+            "is_enabled",
+            "registry",
+            "reset",
+            "stats_for",
+            "tracer",
+        ],
+        "exposition": ["render_prometheus", "render_stats_text"],
+        "metrics": ["Counter", "Gauge", "MetricsRegistry", "TimingSketch"],
+        "trace": ["JsonLinesSink", "TraceEvent", "TraceRing", "Tracer"],
+    },
+)
+
+if TYPE_CHECKING:
+    from .hooks import (
+        SketchObsStats,
+        collected_stats,
+        disable,
+        enable,
+        is_enabled,
+        registry,
+        reset,
+        stats_for,
+        tracer,
+    )
+    from .exposition import render_prometheus, render_stats_text
+    from .metrics import Counter, Gauge, MetricsRegistry, TimingSketch
+    from .trace import JsonLinesSink, TraceEvent, TraceRing, Tracer

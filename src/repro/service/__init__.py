@@ -24,13 +24,9 @@ journal tails).
         values, bound, n = client.query("api/latency_ms", [0.5, 0.99])
 """
 
-from .client import QuantileClient
-from .errors import ServiceConnectionError, ServiceError, ServiceTimeoutError
-from .faults import ChaosProxy, FaultEvent, FaultSchedule
-from .journal import IngestJournal, JournalRecord, read_journal
-from .registry import DedupWindow, MetricEntry, SketchRegistry
-from .server import QuantileService, ServerThread
-from .snapshot import read_snapshot, write_snapshot
+from typing import TYPE_CHECKING
+
+from .._lazy import attach
 
 __all__ = [
     "QuantileClient",
@@ -51,3 +47,33 @@ __all__ = [
     "read_snapshot",
     "write_snapshot",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    submod_attrs={
+        "client": ["QuantileClient"],
+        "errors": [
+            "ServiceConnectionError",
+            "ServiceError",
+            "ServiceTimeoutError",
+        ],
+        "faults": ["ChaosProxy", "FaultEvent", "FaultSchedule"],
+        "journal": ["IngestJournal", "JournalRecord", "read_journal"],
+        "registry": ["DedupWindow", "MetricEntry", "SketchRegistry"],
+        "server": ["QuantileService", "ServerThread"],
+        "snapshot": ["read_snapshot", "write_snapshot"],
+    },
+)
+
+if TYPE_CHECKING:
+    from .client import QuantileClient
+    from .errors import (
+        ServiceConnectionError,
+        ServiceError,
+        ServiceTimeoutError,
+    )
+    from .faults import ChaosProxy, FaultEvent, FaultSchedule
+    from .journal import IngestJournal, JournalRecord, read_journal
+    from .registry import DedupWindow, MetricEntry, SketchRegistry
+    from .server import QuantileService, ServerThread
+    from .snapshot import read_snapshot, write_snapshot

@@ -39,7 +39,6 @@ import os
 import random
 import socket
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,23 +51,6 @@ from .errors import ServiceConnectionError, ServiceTimeoutError
 from .protocol import MUTATING_OPCODES, Opcode, Request
 
 __all__ = ["QuantileClient"]
-
-#: deprecated keyword names already warned about (once per name per
-#: process -- the shim must not spam a loop that calls create() a lot)
-_WARNED_KWARGS: "set[str]" = set()
-
-
-def _deprecated_kwarg(old: str, new: str) -> None:
-    if old in _WARNED_KWARGS:
-        return
-    _WARNED_KWARGS.add(old)
-    warnings.warn(
-        f"{old}= is deprecated, use {new}= (same meaning; the old "
-        f"spelling will be removed)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class _Pending:
     """One request awaiting its ack: the complete framed bytes.
@@ -481,7 +463,7 @@ class QuantileClient:
         self,
         name: str,
         *,
-        eps: Optional[float] = None,
+        eps: float = 0.01,
         kind: str = "fixed",
         n: Optional[int] = None,
         policy: str = "new",
@@ -490,16 +472,14 @@ class QuantileClient:
         slide: "str | float | None" = None,
         decay: "str | float | None" = None,
         token: int = 0,
-        epsilon: Optional[float] = None,
     ) -> bool:
         """Create metric *name*; True if new, False if it already existed.
 
         ``eps`` is the accuracy knob, spelled exactly as on
-        :class:`repro.Sketch` (``epsilon=`` is the deprecated alias and
-        warns once).  ``engine`` picks the server-side sketch machinery
-        (``"paper"``, ``"kll"`` or ``"frugal"``; see docs/api.md).  The
-        non-paper engines require ``kind="fixed"`` with no ``n`` --
-        their own knobs size the sketch.
+        :class:`repro.Sketch`.  ``engine`` picks the server-side sketch
+        machinery (``"paper"``, ``"kll"`` or ``"frugal"``; see
+        docs/api.md).  The non-paper engines require ``kind="fixed"``
+        with no ``n`` -- their own knobs size the sketch.
 
         ``window=``/``slide=``/``decay=`` make the metric time-aware,
         with the same spellings as :class:`repro.Sketch`: durations are
@@ -513,16 +493,6 @@ class QuantileClient:
         cluster client passes one token to every replica of a broadcast
         create so a failover retry against any of them is deduplicated.
         """
-        if epsilon is not None:
-            _deprecated_kwarg("epsilon", "eps")
-            if eps is not None and eps != epsilon:
-                raise ConfigurationError(
-                    f"pass eps= or epsilon=, not both (got {eps} and "
-                    f"{epsilon})"
-                )
-            eps = epsilon
-        if eps is None:
-            eps = 0.01
         window_s, slide_s, decay_s = window_config(window, slide, decay)
         body = self._call(
             Request(

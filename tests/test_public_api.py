@@ -1,12 +1,12 @@
-"""Snapshot of the public API surface: the facade and the legacy shims.
+"""Snapshot of the public API surface: the facade and its spellings.
 
 CI runs this to catch accidental changes to ``repro.__all__``, the
-facade signatures, and the deprecation behaviour of the pre-facade
-import paths.
+facade signatures, and the removal of the pre-facade import paths.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import warnings
 
@@ -90,25 +90,19 @@ def test_time_kwargs_agree_across_surfaces():
     for name in ("window", "slide", "decay"):
         assert client_params[name].kind is inspect.Parameter.KEYWORD_ONLY
         assert client_params[name].default is None
-    # the accuracy knob is eps= on the client too (epsilon= is the
-    # deprecated alias, shimmed with a one-shot warning)
-    assert "eps" in client_params
-    assert client_params["epsilon"].default is None
+    # the accuracy knob is eps= on the client too
+    assert client_params["eps"].default == 0.01
+    assert "epsilon" not in client_params
 
 
-def test_client_epsilon_alias_warns_once(tmp_path):
-    from repro.service import client as client_mod
+def test_client_epsilon_alias_removed():
+    from repro.service import QuantileClient, ServerThread
 
-    client_mod._WARNED_KWARGS.discard("epsilon")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        client_mod._deprecated_kwarg("epsilon", "eps")
-        client_mod._deprecated_kwarg("epsilon", "eps")
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "eps=" in str(deprecations[0].message)
+    with ServerThread() as server:
+        with QuantileClient("127.0.0.1", server.port) as client:
+            with pytest.raises(TypeError):
+                client.create("m", epsilon=0.01)
+            assert client.list_metrics() == []
 
 
 def test_sketch_dispatch():
@@ -137,53 +131,46 @@ def test_obs_is_exported():
     assert callable(repro.obs.render_prometheus)
 
 
-# -- legacy import paths ------------------------------------------------------
+# -- removed pre-facade import paths -----------------------------------------
 
-LEGACY_NAMES = [
-    "QuantileSketch",
-    "AdaptiveQuantileSketch",
-    "QuantileFramework",
-    "ParallelQuantileEngine",
-    "approximate_quantiles",
-    "optimal_parameters",
-    "MultiColumnSketcher",
-    "exact_quantile_two_pass",
-    "verify_guarantee",
-]
+# Each pre-facade top-level name and the module it is imported from now
+# (the migration table in docs/api.md).
+LEGACY_NAMES = {
+    "QuantileSketch": "repro.core",
+    "AdaptiveQuantileSketch": "repro.core",
+    "QuantileFramework": "repro.core",
+    "ParallelQuantileEngine": "repro.core",
+    "approximate_quantiles": "repro.core",
+    "optimal_parameters": "repro.core",
+    "MultiColumnSketcher": "repro.multicolumn",
+    "exact_quantile_two_pass": "repro.twopass",
+    "verify_guarantee": "repro.validation",
+}
 
 
 @pytest.mark.parametrize("name", LEGACY_NAMES)
 def test_legacy_name_still_importable(name):
-    repro._reset_deprecation_warnings()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        obj = getattr(repro, name)
-    assert obj is not None
+    """The name lives on at its canonical module, not at the top level."""
+    module = importlib.import_module(LEGACY_NAMES[name])
+    assert getattr(module, name) is not None
+    with pytest.raises(AttributeError):
+        getattr(repro, name)
+    assert name not in dir(repro)
 
 
 @pytest.mark.parametrize("name", LEGACY_NAMES)
 def test_legacy_name_warns_exactly_once(name):
-    repro._reset_deprecation_warnings()
+    """The one-shot deprecation shim is gone: every top-level access
+    raises AttributeError, and the canonical import warns not at all."""
+    for _ in range(2):  # no warned-once state: the second access fails too
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        getattr(repro, name)
-        getattr(repro, name)  # second access: shim stays silent
-    deprecations = [
+        getattr(importlib.import_module(LEGACY_NAMES[name]), name)
+    assert not [
         w for w in caught if issubclass(w.category, DeprecationWarning)
     ]
-    assert len(deprecations) == 1
-    assert name in str(deprecations[0].message)
-
-
-def test_legacy_object_identity():
-    """The shim returns the same object as the canonical import."""
-    import repro.core as core
-
-    repro._reset_deprecation_warnings()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        assert repro.QuantileSketch is core.QuantileSketch
-        assert repro.QuantileFramework is core.QuantileFramework
 
 
 def test_unknown_attribute_raises():
@@ -191,9 +178,7 @@ def test_unknown_attribute_raises():
         repro.NoSuchThing
 
 
-def test_dir_lists_facade_and_legacy():
+def test_dir_lists_facade():
     listing = dir(repro)
     for name in repro.__all__:
-        assert name in listing
-    for name in LEGACY_NAMES:
         assert name in listing
