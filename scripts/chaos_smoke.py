@@ -50,6 +50,7 @@ from repro.service import (  # noqa: E402
     FaultSchedule,
     QuantileClient,
 )
+from repro.service.protocol import MetricConfig  # noqa: E402
 from repro.service.registry import SketchRegistry  # noqa: E402
 
 PHIS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
@@ -179,7 +180,8 @@ def main(argv=None) -> int:
                 )
                 offline = SketchRegistry(n_shards=1)
                 offline.create(
-                    "smoke/fixed", kind="fixed", epsilon=0.02, n=TOTAL
+                    "smoke/fixed",
+                    MetricConfig(kind="fixed", epsilon=0.02, n=TOTAL),
                 )
                 offline.ingest("smoke/fixed", data)
                 _, offline_bound, offline_n = offline.quantiles(

@@ -25,7 +25,10 @@ ISSUE-8 acceptance scenario end to end:
 5. the death is *observable*: ``poll()`` names the corpse, the epoch
    bumps, the on-disk ``cluster.json`` marks the node down, the
    Prometheus exposition counts 2/3 nodes up, and the ``repro cluster
-   status`` CLI exits non-zero.
+   status`` CLI exits non-zero;
+6. after re-sync, a joining node learns every metric's full
+   configuration: windowed metrics created before the join are listed
+   with the same window and slide on every node.
 
 Exit code 0 on success.
 
@@ -50,6 +53,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cluster import ClusterCoordinator, ClusterManifest  # noqa: E402
 from repro.service import ChaosProxy, FaultEvent, FaultSchedule  # noqa: E402
+from repro.service.protocol import MetricConfig  # noqa: E402
 from repro.service.registry import SketchRegistry  # noqa: E402
 
 PHIS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
@@ -68,7 +72,7 @@ def check(ok: bool, what: str) -> None:
 
 def offline_registry(name: str, n: int, batches) -> SketchRegistry:
     reg = SketchRegistry()
-    reg.create(name, kind="fixed", epsilon=EPSILON, n=n)
+    reg.create(name, MetricConfig(kind="fixed", epsilon=EPSILON, n=n))
     for batch in batches:
         reg.ingest(name, batch)
     reg.apply_all()
@@ -301,12 +305,28 @@ def main() -> int:
                 )
         counts_exact("after kill + re-sync")
 
+        # windowed definitions must reach the joiner whole, whether it
+        # owns them (a full-state install) or only learns them
+        windowed = [f"cluster/windowed-{i}" for i in range(4)]
+        with coord.client() as cl:
+            for metric in windowed:
+                cl.create(metric, eps=EPSILON, window=60, slide=30)
         joined = coord.add_node()
         manifest = ClusterManifest.load(coord.manifest_path)
         check(
             manifest.node(joined).status == "up"
             and len(manifest.nodes) == 4,
             f"{joined} joined, migrated its ring share, flipped up",
+        )
+        with coord.client() as cl:
+            rows = [m for m in cl.list_metrics() if m["name"] in windowed]
+        check(
+            len(rows) == len(windowed) * len(manifest.nodes)
+            and all(
+                (m["window_s"], m["slide_s"]) == (60.0, 30.0) for m in rows
+            ),
+            f"every node's LIST reports window 60s / slide 30s for "
+            f"{len(windowed)} windowed metrics after {joined} joined",
         )
         ingest_more(2)
         counts_exact(f"after {joined} joined")

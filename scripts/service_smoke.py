@@ -40,6 +40,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.service import QuantileClient  # noqa: E402
+from repro.service.protocol import MetricConfig  # noqa: E402
 from repro.service.registry import SketchRegistry  # noqa: E402
 
 PHIS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
@@ -133,7 +134,8 @@ def main(argv=None) -> int:
                 print("[2/5] certified bound vs offline sketch")
                 offline = SketchRegistry(n_shards=1)
                 offline.create(
-                    "smoke/fixed", kind="fixed", epsilon=0.02, n=TOTAL
+                    "smoke/fixed",
+                    MetricConfig(kind="fixed", epsilon=0.02, n=TOTAL),
                 )
                 offline.ingest("smoke/fixed", data)
                 _, offline_bound, offline_n = offline.quantiles(

@@ -46,6 +46,7 @@ from ..core.engines import engine_of
 from ..core.errors import ConfigurationError
 from ..obs import hooks as obs_hooks
 from ..service.client import QuantileClient
+from ..service.protocol import MetricConfig
 from .errors import ClusterSyncError, ReplicaEngineMismatchError
 from .manifest import ClusterManifest
 from .ring import HashRing
@@ -93,6 +94,17 @@ class NodeSyncReport:
     @property
     def rounds(self) -> int:
         return sum(m.rounds for m in self.synced)
+
+
+def _payload_engine(config: MetricConfig) -> str:
+    """What :func:`engine_of` reads off the payload of a *config*
+    metric: the ring format of a windowed or decayed one, else its
+    engine."""
+    if config.window_s:
+        return "windowed"
+    if config.decay_s:
+        return "expdecay"
+    return config.engine
 
 
 def delta_donor(
@@ -192,7 +204,7 @@ class SyncDriver:
         self, name: str, donor_id: str, target_id: str, view: Dict[str, Any]
     ) -> None:
         """Refuse corrupt or cross-engine transfers before installing."""
-        declared = view["engine"]
+        declared = _payload_engine(view["config"])
         actual = engine_of(view["payload"])
         if actual != declared:
             # the donor itself is corrupt: its config and its bytes
@@ -208,9 +220,11 @@ class SyncDriver:
             )
 
     def _target_engine(self, name: str, target_id: str) -> Optional[str]:
-        """The engine the target already holds *name* under, if any."""
+        """The payload engine the target already holds *name* under, if
+        any."""
         try:
-            return self.client(target_id).sync_pull(name)["engine"]
+            view = self.client(target_id).sync_pull(name)
+            return _payload_engine(view["config"])
         except ConfigurationError:
             return None  # unknown metric there (or no exchange format)
 
@@ -243,7 +257,7 @@ class SyncDriver:
             view = donor.sync_pull(name, after_seq)
             if report.engine == "":
                 self._check_engines(name, donor_id, target_id, view)
-                report.engine = view["engine"]
+                report.engine = view["config"].engine
             fresh = after_seq == 0
             if fresh or view["rebase"]:
                 if installs >= 1 + _MAX_REBASES:
@@ -254,15 +268,7 @@ class SyncDriver:
                 installs += 1
                 report.installs += 1
                 report.bytes += len(view["payload"])
-                target.restore(
-                    name,
-                    kind=view["kind"],
-                    epsilon=view["epsilon"],
-                    n=view["n"],
-                    policy=view["policy"],
-                    engine=view["engine"],
-                    payload=view["payload"],
-                )
+                target.restore_config(name, view["config"], view["payload"])
                 after_seq = view["seq"]
                 continue
             for _seq, token, values in view["records"]:
@@ -299,18 +305,8 @@ class SyncDriver:
         failover promotion never meets an unknown name -- must survive
         restarts and joins.
         """
-        view = self.client(donor_id).sync_pull(name)
-        self.client(target_id).create(
-            name,
-            kind=view["kind"],
-            eps=view["epsilon"],
-            n=view["n"],
-            policy=view["policy"],
-            engine=view["engine"],
-            window=view.get("window_s") or None,
-            slide=view.get("slide_s") or None,
-            decay=view.get("decay_s") or None,
-        )
+        config = self.client(donor_id).sync_pull(name)["config"]
+        self.client(target_id).create_config(name, config)
 
     # -- whole-node sync ---------------------------------------------------
 

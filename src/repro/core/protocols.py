@@ -11,6 +11,10 @@ implementation in the package.
 answering the stream extremes (exact where the implementation tracks
 them) and a fixed set of interior quantiles, plus the certified
 a-posteriori rank bound in absolute and fractional form.
+
+:data:`ENGINE_IDS` is the one table of sketch engines and their ``u8``
+wire ids, shared by every format that records an engine: the service
+frames, journal and snapshot, and the window ring format.
 """
 
 from __future__ import annotations
@@ -21,11 +25,17 @@ __all__ = [
     "SketchProtocol",
     "ClientProtocol",
     "DESCRIBE_PHIS",
+    "ENGINE_IDS",
+    "ENGINE_BY_ID",
     "describe_dict",
 ]
 
 #: interior quantile fractions reported by ``describe()``
 DESCRIBE_PHIS = (0.25, 0.5, 0.75, 0.9, 0.99)
+
+#: sketch engine name -> u8 wire id, and back
+ENGINE_IDS = {"paper": 0, "kll": 1, "frugal": 2}
+ENGINE_BY_ID = {v: k for k, v in ENGINE_IDS.items()}
 
 
 @runtime_checkable

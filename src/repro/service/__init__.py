@@ -34,6 +34,7 @@ __all__ = [
     "ServerThread",
     "SketchRegistry",
     "MetricEntry",
+    "MetricConfig",
     "DedupWindow",
     "ServiceError",
     "ServiceConnectionError",
@@ -59,6 +60,7 @@ __getattr__, __dir__ = attach(
         ],
         "faults": ["ChaosProxy", "FaultEvent", "FaultSchedule"],
         "journal": ["IngestJournal", "JournalRecord", "read_journal"],
+        "protocol": ["MetricConfig"],
         "registry": ["DedupWindow", "MetricEntry", "SketchRegistry"],
         "server": ["QuantileService", "ServerThread"],
         "snapshot": ["read_snapshot", "write_snapshot"],
@@ -74,6 +76,7 @@ if TYPE_CHECKING:
     )
     from .faults import ChaosProxy, FaultEvent, FaultSchedule
     from .journal import IngestJournal, JournalRecord, read_journal
+    from .protocol import MetricConfig
     from .registry import DedupWindow, MetricEntry, SketchRegistry
     from .server import QuantileService, ServerThread
     from .snapshot import read_snapshot, write_snapshot

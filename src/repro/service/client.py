@@ -48,7 +48,7 @@ from ..core.errors import ConfigurationError, StorageError
 from ..windows import window_config
 from . import protocol
 from .errors import ServiceConnectionError, ServiceTimeoutError
-from .protocol import MUTATING_OPCODES, Opcode, Request
+from .protocol import MUTATING_OPCODES, MetricConfig, Opcode, Request
 
 __all__ = ["QuantileClient"]
 
@@ -493,20 +493,21 @@ class QuantileClient:
         cluster client passes one token to every replica of a broadcast
         create so a failover retry against any of them is deduplicated.
         """
-        window_s, slide_s, decay_s = window_config(window, slide, decay)
+        config = MetricConfig(
+            kind, eps, n, policy, engine, *window_config(window, slide, decay)
+        )
+        return self.create_config(name, config, token=token)
+
+    def create_config(
+        self, name: str, config: MetricConfig, *, token: int = 0
+    ) -> bool:
+        """:meth:`create` from a validated
+        :class:`~repro.service.protocol.MetricConfig` -- the form
+        :meth:`sync_pull` returns, so a definition copies from one node
+        to another whole."""
         body = self._call(
             Request(
-                opcode=Opcode.CREATE,
-                name=name,
-                kind=kind,
-                epsilon=eps,
-                n=n,
-                policy=policy,
-                engine=engine,
-                window_s=window_s,
-                slide_s=slide_s,
-                decay_s=decay_s,
-                token=token,
+                opcode=Opcode.CREATE, name=name, config=config, token=token
             )
         )
         return bool(body["created"])
@@ -623,12 +624,13 @@ class QuantileClient:
         """One donor round of the cluster re-sync protocol.
 
         Returns one atomic view of the metric on this server: its
-        configuration (``kind``/``epsilon``/``n``/``policy``/``engine``),
-        the current full serialized ``payload``, the journal ``seq`` the
-        payload reflects, and ``records`` -- the ``(seq, token, values)``
-        INGEST tail after ``after_seq``.  ``rebase=True`` means the tail
-        could not be produced (rotation or an intervening RESTORE): start
-        over from the full payload.
+        ``config`` (a :class:`~repro.service.protocol.MetricConfig`,
+        window or decay included), the current full serialized
+        ``payload``, the journal ``seq`` the payload reflects, and
+        ``records`` -- the ``(seq, token, values)`` INGEST tail after
+        ``after_seq``.  ``rebase=True`` means the tail could not be
+        produced (rotation or an intervening RESTORE): start over from
+        the full payload.
         """
         return self._call(
             Request(
@@ -655,15 +657,25 @@ class QuantileClient:
         this server holds under *name*, journaled as one RESTORE record.
         Returns ``(replaced, seq)``.
         """
+        config = MetricConfig(kind, epsilon, n, policy, engine)
+        return self.restore_config(name, config, payload, token=token)
+
+    def restore_config(
+        self,
+        name: str,
+        config: MetricConfig,
+        payload: bytes,
+        *,
+        token: int = 0,
+    ) -> Tuple[bool, int]:
+        """:meth:`restore` from a validated
+        :class:`~repro.service.protocol.MetricConfig`.  Only its head and
+        engine travel: the payload carries any window or decay."""
         body = self._call(
             Request(
                 opcode=Opcode.RESTORE,
                 name=name,
-                kind=kind,
-                epsilon=epsilon,
-                n=n,
-                policy=policy,
-                engine=engine,
+                config=config,
                 payload=payload,
                 token=token,
             )

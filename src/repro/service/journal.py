@@ -16,22 +16,20 @@ File layout (little-endian)::
     record:  u32 crc32 | u32 body_len | body
     body:    u64 seq | u8 type | u64 token | type-specific payload
 
-    type 1 = CREATE:    name (u16 len + utf8) | u8 kind | f64 epsilon
-                        | u64 n (0 = unset) | policy (u16 len + utf8)
-                        | [u8 engine]  (optional trailing; absent = paper)
-                        | [u8 wmode | f64 p1 | f64 p2]  (optional window
-                          config; the engine byte is forced when present.
-                          wmode 1 = window: p1 = window seconds, p2 =
-                          slide seconds; wmode 2 = decay: p1 = half-life)
+    type 1 = CREATE:    name (u16 len + utf8) | config block, trailing
+                        placement (engine byte and window block optional)
     type 2 = INGEST:    name (u16 len + utf8) | u32 count | count * f64
-    type 3 = RESTORE:   name (u16 len + utf8) | u8 kind | f64 epsilon
-                        | u64 n (0 = unset) | policy (u16 len + utf8)
-                        | u8 engine | u32 payload_len | payload
+    type 3 = RESTORE:   name (u16 len + utf8) | config block, head
+                        placement | u32 payload_len | payload
     type 4 = INGEST_AT: name (u16 len + utf8) | f64 event_time
                         | u32 count | count * f64
     type 5 = WATCH:     rule_id (u16 len + utf8) | metric (u16 len +
                         utf8) | f64 phi | u8 op | f64 threshold
     type 6 = UNWATCH:   rule_id (u16 len + utf8)
+
+The config block is :func:`repro.service.protocol.pack_config`'s, the
+same bytes the CREATE and RESTORE frames carry (docs/formats.md, "Metric
+config block").
 
 An INGEST_AT record carries the batch's *event time*: windowed/decayed
 metrics bucket by timestamp, so the journal pins the time each batch was
@@ -73,6 +71,18 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.errors import StorageError
+from .protocol import (
+    CONFIG_HEAD,
+    CONFIG_TRAILING,
+    MetricConfig,
+    _RULE_OP_NAMES,
+    _RULE_OPS,
+    _lookup,
+    _pack_str,
+    _Reader,
+    pack_config,
+    read_config,
+)
 
 __all__ = [
     "IngestJournal",
@@ -92,9 +102,7 @@ _VERSION = 2
 _FILE_HEADER = struct.Struct("<8sH6xQ")
 _RECORD_HEADER = struct.Struct("<II")
 _SEQ_TYPE = struct.Struct("<QBQ")  # seq | record type | idempotency token
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 
 CREATE_RECORD = 1
@@ -115,24 +123,15 @@ class JournalRecord:
     seq: int
     type: int
     name: str
-    # CREATE fields
-    kind: str = "fixed"
-    epsilon: float = 0.01
-    n: Optional[int] = None
-    policy: str = "new"
+    #: CREATE/RESTORE configuration (RESTORE: head and engine only; the
+    #: payload describes any window)
+    config: Optional[MetricConfig] = None
     # INGEST field
     values: Optional[np.ndarray] = None
     # RESTORE field: the full serialised engine payload installed
     payload: bytes = b""
     #: idempotency token the mutation carried (0 = none)
     token: int = 0
-    #: CREATE sketch engine (encoded as an optional trailing byte, so
-    #: pre-engine journals replay unchanged as "paper")
-    engine: str = "paper"
-    # CREATE window/decay config (0 = plain all-time metric)
-    window_s: float = 0.0
-    slide_s: float = 0.0
-    decay_s: float = 0.0
     #: INGEST_AT event time (seconds)
     t: float = 0.0
     # WATCH rule fields (``name`` carries the rule id)
@@ -152,72 +151,6 @@ class JournalScan:
     damaged: bool  #: True when bytes beyond ``valid_bytes`` existed
 
 
-def _encode_create(
-    name: str,
-    kind: str,
-    epsilon: float,
-    n: Optional[int],
-    policy: str,
-    engine: str = "paper",
-    window_s: float = 0.0,
-    slide_s: float = 0.0,
-    decay_s: float = 0.0,
-) -> bytes:
-    from .protocol import (
-        WMODE_DECAY,
-        WMODE_WINDOW,
-        _ENGINE_IDS,
-        _KIND_IDS,
-        _pack_str,
-    )
-
-    body = (
-        _pack_str(name)
-        + bytes([_KIND_IDS[kind]])
-        + _F64.pack(epsilon)
-        + _U64.pack(0 if n is None else int(n))
-        + _pack_str(policy)
-    )
-    windowed = bool(window_s or decay_s)
-    if engine != "paper" or windowed:
-        body += bytes([_ENGINE_IDS[engine]])
-    if windowed:
-        # same block as the CREATE opcode: the engine byte is forced
-        # (even for paper) so the decode order stays unambiguous
-        if window_s:
-            body += bytes([WMODE_WINDOW])
-            body += _F64.pack(window_s)
-            body += _F64.pack(slide_s or window_s)
-        else:
-            body += bytes([WMODE_DECAY])
-            body += _F64.pack(decay_s)
-            body += _F64.pack(0.0)
-    return body
-
-
-def _encode_restore(
-    name: str,
-    kind: str,
-    epsilon: float,
-    n: Optional[int],
-    policy: str,
-    engine: str,
-    payload: bytes,
-) -> bytes:
-    from .protocol import _ENGINE_IDS, _KIND_IDS, _pack_str
-
-    return (
-        _pack_str(name)
-        + bytes([_KIND_IDS[kind]])
-        + _F64.pack(epsilon)
-        + _U64.pack(0 if n is None else int(n))
-        + _pack_str(policy)
-        + bytes([_ENGINE_IDS[engine]])
-        + _U32.pack(len(payload))
-        + payload
-    )
-
-
 def _ingest_body_parts(
     prefix: bytes, name: str, values: np.ndarray
 ) -> "List[bytes | memoryview]":
@@ -228,8 +161,6 @@ def _ingest_body_parts(
     copies beyond the kernel write itself (the zero-copy receive path
     hands the server read-only views, and they flow straight through).
     """
-    from .protocol import _pack_str
-
     arr = np.ascontiguousarray(values, dtype="<f8")
     return [
         prefix + _pack_str(name) + _U32.pack(arr.size),
@@ -238,58 +169,18 @@ def _ingest_body_parts(
 
 
 def _decode_body(body: bytes) -> JournalRecord:
-    from .protocol import (
-        WMODE_DECAY,
-        WMODE_NONE,
-        WMODE_WINDOW,
-        _ENGINE_NAMES,
-        _KIND_NAMES,
-        _RULE_OP_NAMES,
-        _Reader,
-    )
-
     r = _Reader(body)
     seq = r.u64("seq")
     rtype = r.u8("record type")
     token = r.u64("idempotency token")
     if rtype == CREATE_RECORD:
         name = r.string("metric name")
-        kind_id = r.u8("metric kind")
-        if kind_id not in _KIND_NAMES:
-            raise StorageError(f"unknown metric kind id {kind_id}")
-        epsilon = r.f64("epsilon")
-        n = r.u64("n")
-        policy = r.string("policy")
-        engine = "paper"
-        if r.pos != len(r.buf):  # pre-engine records have no trailing byte
-            engine_id = r.u8("sketch engine")
-            if engine_id not in _ENGINE_NAMES:
-                raise StorageError(f"unknown sketch engine id {engine_id}")
-            engine = _ENGINE_NAMES[engine_id]
-        window_s = slide_s = decay_s = 0.0
-        if r.pos != len(r.buf):  # window/decay config block
-            wmode = r.u8("window mode")
-            p1 = r.f64("window p1")
-            p2 = r.f64("window p2")
-            if wmode == WMODE_WINDOW:
-                window_s, slide_s = p1, p2
-            elif wmode == WMODE_DECAY:
-                decay_s = p1
-            elif wmode != WMODE_NONE:
-                raise StorageError(f"unknown window mode {wmode}")
         rec = JournalRecord(
             seq=seq,
             type=rtype,
             name=name,
-            kind=_KIND_NAMES[kind_id],
-            epsilon=epsilon,
-            n=None if n == 0 else n,
-            policy=policy,
             token=token,
-            engine=engine,
-            window_s=window_s,
-            slide_s=slide_s,
-            decay_s=decay_s,
+            config=read_config(r, CONFIG_TRAILING),
         )
     elif rtype == INGEST_RECORD:
         name = r.string("metric name")
@@ -310,9 +201,9 @@ def _decode_body(body: bytes) -> JournalRecord:
         name = r.string("rule id")
         metric = r.string("metric name")
         phi = r.f64("phi")
-        op_id = r.u8("rule operator")
-        if op_id not in _RULE_OP_NAMES:
-            raise StorageError(f"unknown rule operator id {op_id}")
+        rule_op = _lookup(
+            _RULE_OP_NAMES, r.u8("rule operator"), "rule operator"
+        )
         threshold = r.f64("threshold")
         rec = JournalRecord(
             seq=seq,
@@ -321,7 +212,7 @@ def _decode_body(body: bytes) -> JournalRecord:
             token=token,
             metric=metric,
             phi=phi,
-            rule_op=_RULE_OP_NAMES[op_id],
+            rule_op=rule_op,
             threshold=threshold,
         )
     elif rtype == UNWATCH_RECORD:
@@ -329,28 +220,16 @@ def _decode_body(body: bytes) -> JournalRecord:
         rec = JournalRecord(seq=seq, type=rtype, name=name, token=token)
     elif rtype == RESTORE_RECORD:
         name = r.string("metric name")
-        kind_id = r.u8("metric kind")
-        if kind_id not in _KIND_NAMES:
-            raise StorageError(f"unknown metric kind id {kind_id}")
-        epsilon = r.f64("epsilon")
-        n = r.u64("n")
-        policy = r.string("policy")
-        engine_id = r.u8("sketch engine")
-        if engine_id not in _ENGINE_NAMES:
-            raise StorageError(f"unknown sketch engine id {engine_id}")
+        config = read_config(r, CONFIG_HEAD)
         size = r.u32("payload size")
         payload = bytes(r.take(size, "restore payload"))
         rec = JournalRecord(
             seq=seq,
             type=rtype,
             name=name,
-            kind=_KIND_NAMES[kind_id],
-            epsilon=epsilon,
-            n=None if n == 0 else n,
-            policy=policy,
+            config=config,
             payload=payload,
             token=token,
-            engine=_ENGINE_NAMES[engine_id],
         )
     else:
         raise StorageError(f"unknown journal record type {rtype}")
@@ -432,27 +311,15 @@ class IngestJournal:
             os.fsync(self._fh.fileno())
 
     def append_create(
-        self,
-        name: str,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        token: int = 0,
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
+        self, name: str, config: MetricConfig, token: int = 0
     ) -> int:
         """Record a metric creation; returns its sequence number."""
         self._seq += 1
-        body = _SEQ_TYPE.pack(
-            self._seq, CREATE_RECORD, token
-        ) + _encode_create(
-            name, kind, epsilon, n, policy, engine,
-            window_s, slide_s, decay_s,
+        self._append(
+            _SEQ_TYPE.pack(self._seq, CREATE_RECORD, token)
+            + _pack_str(name)
+            + pack_config(config, CONFIG_TRAILING)
         )
-        self._append(body)
         return self._seq
 
     def append_ingest(
@@ -472,8 +339,6 @@ class IngestJournal:
         The event time rides in the record, so replay feeds the ring the
         exact (values, t) pair the live server did.
         """
-        from .protocol import _pack_str
-
         self._seq += 1
         prefix = _SEQ_TYPE.pack(self._seq, INGEST_AT_RECORD, token)
         arr = np.ascontiguousarray(values, dtype="<f8")
@@ -498,8 +363,6 @@ class IngestJournal:
         token: int = 0,
     ) -> int:
         """Record a WATCH rule registration."""
-        from .protocol import _RULE_OPS, _pack_str
-
         self._seq += 1
         body = (
             _SEQ_TYPE.pack(self._seq, WATCH_RECORD, token)
@@ -514,8 +377,6 @@ class IngestJournal:
 
     def append_unwatch(self, rule_id: str, token: int = 0) -> int:
         """Record a WATCH rule removal."""
-        from .protocol import _pack_str
-
         self._seq += 1
         body = _SEQ_TYPE.pack(
             self._seq, UNWATCH_RECORD, token
@@ -526,20 +387,21 @@ class IngestJournal:
     def append_restore(
         self,
         name: str,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        engine: str,
+        config: MetricConfig,
         payload: bytes,
         token: int = 0,
     ) -> int:
         """Record a full-state install (re-sync); returns its sequence."""
         self._seq += 1
-        body = _SEQ_TYPE.pack(
-            self._seq, RESTORE_RECORD, token
-        ) + _encode_restore(name, kind, epsilon, n, policy, engine, payload)
-        self._append(body)
+        self._append_parts(
+            [
+                _SEQ_TYPE.pack(self._seq, RESTORE_RECORD, token)
+                + _pack_str(name)
+                + pack_config(config, CONFIG_HEAD)
+                + _U32.pack(len(payload)),
+                payload,
+            ]
+        )
         return self._seq
 
     # -- lifecycle ---------------------------------------------------------

@@ -112,7 +112,7 @@ def _obs_section(
         bound = float(sketch.error_bound()) if n else 0.0
         detail: Dict[str, object] = {
             "name": entry.name,
-            "kind": entry.kind,
+            "kind": entry.config.kind,
             "shard": entry.shard,
             "n": n,
             "certified_bound": bound,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 import zlib
 from array import array
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,6 +42,7 @@ from ..core.frugal import DEFAULT_BANK_PHIS, FrugalBank, FrugalSketch
 from ..core.kll import KLLSketch
 from ..core.parameters import optimal_parameters
 from ..core import serialize
+from .protocol import MetricConfig
 
 __all__ = [
     "MetricEntry",
@@ -89,9 +91,6 @@ DEFAULT_DESIGN_N = 2**30
 #: initial stage capacity for adaptive metrics created without ``n``
 _DEFAULT_ADAPTIVE_CAPACITY = 4096
 
-_KINDS = ("fixed", "adaptive")
-_ENGINES = ("paper", "kll", "frugal")
-
 Sketch = Union[
     QuantileFramework, AdaptiveQuantileSketch, KLLSketch, FrugalSketch
 ]
@@ -102,55 +101,30 @@ _FINITE_MSG = (
 )
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # every engine records epsilon in its config, even frugal (which has
-    # no use for it); NaN would also break idempotent re-CREATE, whose
-    # config comparison needs epsilon == epsilon
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-
-
 class MetricEntry:
     """One named metric: configuration + live sketch + shard placement."""
 
-    __slots__ = (
-        "name", "kind", "epsilon", "n", "policy", "engine", "shard",
-        "bank_id", "sketch", "n_batches", "window_s", "slide_s", "decay_s",
-    )
+    __slots__ = ("name", "config", "shard", "bank_id", "sketch", "n_batches")
 
     def __init__(
         self,
         name: str,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
+        config: MetricConfig,
         shard: int,
         sketch: Sketch,
         bank_id: Optional[int],
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
     ) -> None:
         self.name = name
-        self.kind = kind
-        self.epsilon = epsilon
-        self.n = n
-        self.policy = policy
-        self.engine = engine
+        self.config = config
         self.shard = shard
         self.sketch = sketch
         self.bank_id = bank_id
         self.n_batches = 0
-        self.window_s = window_s
-        self.slide_s = slide_s
-        self.decay_s = decay_s
 
     @property
     def windowed(self) -> bool:
         """Whether ingest must carry event time (window or decay config)."""
-        return bool(self.window_s or self.decay_s)
+        return self.config.windowed
 
     @property
     def count(self) -> int:
@@ -161,21 +135,14 @@ class MetricEntry:
     def memory_elements(self) -> int:
         return self.sketch.memory_elements
 
-    def config_tuple(
-        self,
-    ) -> Tuple[str, float, Optional[int], str, str, float, float, float]:
-        return (
-            self.kind, self.epsilon, self.n, self.policy, self.engine,
-            self.window_s, self.slide_s, self.decay_s,
-        )
-
     def collapse_count(self) -> int:
         if self.windowed:
             return 0
-        if self.engine == "kll":
+        engine = self.config.engine
+        if engine == "kll":
             assert isinstance(self.sketch, KLLSketch)
             return self.sketch._n_compactions
-        if self.engine != "paper":
+        if engine != "paper":
             return 0
         if isinstance(self.sketch, QuantileFramework):
             return self.sketch.n_collapses
@@ -553,46 +520,36 @@ class SketchRegistry:
             raise ConfigurationError(f"unknown metric {name!r}")
         return entry
 
-    def _build_sketch(
-        self,
-        shard_idx: int,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
-    ) -> Sketch:
-        if window_s or decay_s:
+    def _build_sketch(self, shard_idx: int, config: MetricConfig) -> Sketch:
+        epsilon, n, policy = config.epsilon, config.n, config.policy
+        if config.windowed:
             from ..windows import ExpDecaySketch, WindowedSketch
 
-            if window_s:
+            if config.window_s:
                 return WindowedSketch(
                     epsilon,
-                    window=window_s,
-                    slide=slide_s or window_s,
-                    engine=engine,
+                    window=config.window_s,
+                    slide=config.slide_s,
+                    engine=config.engine,
                     policy=policy,
                     n=n,
                     clock=self.clock,
                 )
             return ExpDecaySketch(
                 epsilon,
-                half_life=decay_s,
-                engine=engine,
+                half_life=config.decay_s,
+                engine=config.engine,
                 policy=policy,
                 n=n,
                 clock=self.clock,
             )
-        if engine == "kll":
+        if config.engine == "kll":
             return KLLSketch(eps=epsilon, seed=0)
-        if engine == "frugal":
+        if config.engine == "frugal":
             # born on a row of its shard's bank: nothing to copy in later
             return self._shards[shard_idx].fbank.new_sketch()
-        if kind == "fixed":
-            design_n = DEFAULT_DESIGN_N if n is None else int(n)
+        if config.kind == "fixed":
+            design_n = DEFAULT_DESIGN_N if n is None else n
             plan = optimal_parameters(epsilon, design_n, policy=policy)
             fw = QuantileFramework(
                 plan.b, plan.k, policy=policy, designed_n=design_n
@@ -601,139 +558,71 @@ class SketchRegistry:
             return fw
         return AdaptiveQuantileSketch(
             epsilon,
-            initial_capacity=(
-                _DEFAULT_ADAPTIVE_CAPACITY if n is None else int(n)
-            ),
+            initial_capacity=_DEFAULT_ADAPTIVE_CAPACITY if n is None else n,
             policy=policy,
         )
 
     def create(
-        self,
-        name: str,
-        *,
-        kind: str = "fixed",
-        epsilon: float = 0.01,
-        n: Optional[int] = None,
-        policy: str = "new",
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
+        self, name: str, config: MetricConfig
     ) -> Tuple[MetricEntry, bool]:
         """Create (or idempotently re-open) a metric.
 
-        Returns ``(entry, created)``.  Re-creating with the *same*
+        Returns ``(entry, created)``.  Re-creating with an equal
         configuration is a no-op (clients race to CREATE on connect);
         re-creating with a different one raises
         :class:`~repro.core.errors.ConfigurationError`.
 
-        ``engine`` picks the sketch machinery: ``"paper"`` (default)
+        ``config.engine`` picks the sketch machinery: ``"paper"``
         honours ``kind``/``n``/``policy``; ``"kll"`` sizes a compactor
         sketch from ``epsilon`` alone; ``"frugal"`` tracks the default
-        bank fractions in a few words of state.  The alternative engines
-        are inherently stream-length-agnostic, so they require
-        ``kind="fixed"`` with no ``n`` (their knobs, not the paper's,
-        decide memory).
+        bank fractions in a few words of state.
         """
         if not name or "\n" in name:
             raise ConfigurationError(f"invalid metric name {name!r}")
-        _check_epsilon(epsilon)
-        if kind not in _KINDS:
-            raise ConfigurationError(
-                f"metric kind must be one of {_KINDS}, got {kind!r}"
-            )
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"metric engine must be one of {_ENGINES}, got {engine!r}"
-            )
-        if engine != "paper" and (kind != "fixed" or n is not None):
-            raise ConfigurationError(
-                f"engine {engine!r} metrics are sized by their own knobs: "
-                "use kind='fixed' and omit n"
-            )
-        if window_s and decay_s:
-            raise ConfigurationError(
-                f"metric {name!r}: a metric is windowed or decayed, "
-                "not both"
-            )
-        if (window_s or decay_s) and kind != "fixed":
-            raise ConfigurationError(
-                f"metric {name!r}: windowed/decayed metrics must be "
-                "kind='fixed'"
-            )
-        if window_s and not slide_s:
-            slide_s = window_s  # tumbling
-        config = (
-            kind, epsilon, n, policy, engine, window_s, slide_s, decay_s,
-        )
         existing = self._metrics.get(name)
         if existing is not None:
-            if existing.config_tuple() != config:
+            if existing.config != config:
                 raise ConfigurationError(
                     f"metric {name!r} already exists with configuration "
-                    f"{existing.config_tuple()}, requested {config}"
+                    f"{existing.config}, requested {config}"
                 )
             return existing, False
-        sketch = self._build_sketch(
-            shard_of(name, self.n_shards),
-            kind, epsilon, n, policy, engine, window_s, slide_s, decay_s,
-        )
-        return (
-            self._register(
-                name, kind, epsilon, n, policy, sketch, engine,
-                window_s, slide_s, decay_s,
-            ),
-            True,
-        )
+        sketch = self._build_sketch(shard_of(name, self.n_shards), config)
+        return self._register(name, config, sketch), True
 
     def install_serialized(
-        self,
-        name: str,
-        *,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        engine: str,
-        payload: bytes,
+        self, name: str, config: MetricConfig, payload: bytes
     ) -> bool:
         """Install a metric's complete state from its engine wire payload.
 
         The replace-or-create half of the cluster re-sync protocol (the
         ``RESTORE`` opcode and its journal record): the payload -- as
         produced by :meth:`fetch_serialized` on the donor -- becomes the
-        metric's sketch wholesale, under the given configuration.  An
+        metric's sketch wholesale, under *config*'s head and engine.  An
         existing metric of the same name is *replaced* (its old bank row
         is orphaned until the next restart re-adopts a clean registry --
         bounded by the handful of restores a sync performs, and tens of
         kilobytes each).  Returns ``True`` when an existing metric was
         replaced, ``False`` when the name was new here.
 
-        The payload's magic must agree with *engine* -- a donor whose
-        config and bytes disagree is corrupt and must not be installed.
-        Adaptive paper metrics have no exchange format and are refused,
-        same as :meth:`fetch_serialized`.
+        The payload's magic must agree with ``config.engine`` -- a donor
+        whose config and bytes disagree is corrupt and must not be
+        installed.  The window or decay comes from the payload, which is
+        self-describing.  Adaptive paper metrics have no exchange format
+        and are refused, same as :meth:`fetch_serialized`.
         """
         from ..core.engines import engine_of
 
         if not name or "\n" in name:
             raise ConfigurationError(f"invalid metric name {name!r}")
-        _check_epsilon(epsilon)
-        if kind not in _KINDS:
-            raise ConfigurationError(
-                f"metric kind must be one of {_KINDS}, got {kind!r}"
-            )
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"metric engine must be one of {_ENGINES}, got {engine!r}"
-            )
-        if kind != "fixed":
+        engine = config.engine
+        if config.kind != "fixed":
             raise ConfigurationError(
                 f"metric {name!r} is adaptive; only fixed-N metrics "
                 "have an exchange format to restore from"
             )
         actual = engine_of(payload)
-        window_s = slide_s = decay_s = 0.0
+        timing = {"window_s": 0.0, "slide_s": 0.0, "decay_s": 0.0}
         sketch: Sketch
         if actual in ("windowed", "expdecay"):
             # windowed payloads are self-describing: the ring carries its
@@ -752,10 +641,12 @@ class SketchRegistry:
                 )
             loaded._clock = self.clock
             if isinstance(loaded, WindowedSketch):
-                window_s, slide_s = loaded.window_s, loaded.slide_s
+                timing.update(
+                    window_s=loaded.window_s, slide_s=loaded.slide_s
+                )
             else:
                 assert isinstance(loaded, ExpDecaySketch)
-                decay_s = loaded.half_life_s
+                timing.update(decay_s=loaded.half_life_s)
             sketch = loaded
         elif actual != engine:
             raise ConfigurationError(
@@ -768,64 +659,36 @@ class SketchRegistry:
             sketch = FrugalSketch.from_bytes(payload)
         else:
             sketch = serialize.loads(payload)
+        config = replace(config, **timing)
         replaced = self._metrics.pop(name, None) is not None
-        self._register(
-            name, kind, epsilon, n, policy, sketch, engine,
-            window_s, slide_s, decay_s,
-        )
+        self._register(name, config, sketch)
         return replaced
 
     def register_restored(
-        self,
-        name: str,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        sketch: Sketch,
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
+        self, name: str, config: MetricConfig, sketch: Sketch
     ) -> MetricEntry:
         """Attach a sketch rebuilt by the snapshot codec (recovery path)."""
         if name in self._metrics:
             raise ConfigurationError(f"metric {name!r} restored twice")
-        if window_s or decay_s:
+        if config.windowed:
             sketch._clock = self.clock
-        return self._register(
-            name, kind, epsilon, n, policy, sketch, engine,
-            window_s, slide_s, decay_s,
-        )
+        return self._register(name, config, sketch)
 
     def _register(
-        self,
-        name: str,
-        kind: str,
-        epsilon: float,
-        n: Optional[int],
-        policy: str,
-        sketch: Sketch,
-        engine: str = "paper",
-        window_s: float = 0.0,
-        slide_s: float = 0.0,
-        decay_s: float = 0.0,
+        self, name: str, config: MetricConfig, sketch: Sketch
     ) -> MetricEntry:
         shard_idx = shard_of(name, self.n_shards)
         bank_id: Optional[int] = None
-        if window_s or decay_s:
+        if config.windowed:
             # windowed rings manage their own buckets; no bank adoption
             pass
-        elif engine == "frugal":
+        elif config.engine == "frugal":
             assert isinstance(sketch, FrugalSketch)
             bank_id = self._shards[shard_idx].fbank.adopt(sketch)
-        elif engine == "paper" and kind == "fixed":
+        elif config.engine == "paper" and config.kind == "fixed":
             assert isinstance(sketch, QuantileFramework)
             bank_id = self._shards[shard_idx].bank.adopt(sketch)
-        entry = MetricEntry(
-            name, kind, epsilon, n, policy, shard_idx, sketch, bank_id,
-            engine, window_s, slide_s, decay_s,
-        )
+        entry = MetricEntry(name, config, shard_idx, sketch, bank_id)
         self._metrics[name] = entry
         return entry
 
@@ -942,7 +805,7 @@ class SketchRegistry:
         frugal_pairs: List[Tuple[int, np.ndarray]] = []
         for entry, arrays in groups.values():
             values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            if entry.engine == "frugal":
+            if entry.config.engine == "frugal":
                 # every frugal metric on the shard shares one flat-array
                 # bank; collect the runs and make a single kernel pass
                 assert entry.bank_id is not None
@@ -1001,10 +864,10 @@ class SketchRegistry:
             # the ring's own format (WINSKT01/EXDSKT01): self-describing,
             # mergeable bucket-by-bucket via merge_serialized
             return entry.sketch.to_bytes()
-        if entry.engine == "kll":
+        if entry.config.engine == "kll":
             assert isinstance(entry.sketch, KLLSketch)
             return entry.sketch.to_bytes()
-        if entry.engine == "frugal":
+        if entry.config.engine == "frugal":
             assert isinstance(entry.sketch, FrugalSketch)
             return entry.sketch.to_bytes()
         if not isinstance(entry.sketch, QuantileFramework):
@@ -1020,14 +883,14 @@ class SketchRegistry:
         return [
             {
                 "name": e.name,
-                "kind": e.kind,
-                "engine": e.engine,
+                "kind": e.config.kind,
+                "engine": e.config.engine,
                 "n": e.count,
                 "memory_elements": e.memory_elements,
                 "shard": e.shard,
-                "window_s": e.window_s,
-                "slide_s": e.slide_s,
-                "decay_s": e.decay_s,
+                "window_s": e.config.window_s,
+                "slide_s": e.config.slide_s,
+                "decay_s": e.config.decay_s,
             }
             for e in self._metrics.values()
         ]
@@ -1036,7 +899,7 @@ class SketchRegistry:
         """Metric count per engine (only engines actually in use)."""
         out: Dict[str, int] = {}
         for e in self._metrics.values():
-            out[e.engine] = out.get(e.engine, 0) + 1
+            out[e.config.engine] = out.get(e.config.engine, 0) + 1
         return out
 
     def shard_stats(self) -> List[Dict[str, object]]:

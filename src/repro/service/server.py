@@ -286,17 +286,7 @@ class QuantileService:
                 if rec.seq <= seq:
                     continue  # already inside the snapshot
                 if rec.type == CREATE_RECORD:
-                    self.registry.create(
-                        rec.name,
-                        kind=rec.kind,
-                        epsilon=rec.epsilon,
-                        n=rec.n,
-                        policy=rec.policy,
-                        engine=rec.engine,
-                        window_s=rec.window_s,
-                        slide_s=rec.slide_s,
-                        decay_s=rec.decay_s,
-                    )
+                    self.registry.create(rec.name, rec.config)
                     self.registry.dedup.record(rec.token, {"created": True})
                 elif rec.type == INGEST_AT_RECORD:
                     assert rec.values is not None
@@ -334,13 +324,7 @@ class QuantileService:
                     # for the metric: replaying them first and replacing
                     # wholesale here reproduces the live apply order
                     replaced = self.registry.install_serialized(
-                        rec.name,
-                        kind=rec.kind,
-                        epsilon=rec.epsilon,
-                        n=rec.n,
-                        policy=rec.policy,
-                        engine=rec.engine,
-                        payload=rec.payload,
+                        rec.name, rec.config, rec.payload
                     )
                     self.registry.dedup.record(
                         rec.token, {"replaced": replaced, "seq": rec.seq}
@@ -662,24 +646,9 @@ class QuantileService:
                 hit = self.registry.dedup.get(req.token)
                 if hit is not None:
                     return hit
-            entry, created = self.registry.create(
-                req.name,
-                kind=req.kind,
-                epsilon=req.epsilon,
-                n=req.n,
-                policy=req.policy,
-                engine=req.engine,
-                window_s=req.window_s,
-                slide_s=req.slide_s,
-                decay_s=req.decay_s,
-            )
+            _entry, created = self.registry.create(req.name, req.config)
             if created and self.journal is not None:
-                self.journal.append_create(
-                    req.name, req.kind, req.epsilon, req.n, req.policy,
-                    token=req.token, engine=req.engine,
-                    window_s=req.window_s, slide_s=req.slide_s,
-                    decay_s=req.decay_s,
-                )
+                self.journal.append_create(req.name, req.config, req.token)
             result = {"created": created}
             self.registry.dedup.record(req.token, result)
             return result
@@ -826,14 +795,7 @@ class QuantileService:
                         records.append((rec.seq, rec.token, rec.values))
         return {
             "rebase": rebase,
-            "kind": entry.kind,
-            "epsilon": entry.epsilon,
-            "n": entry.n,
-            "policy": entry.policy,
-            "engine": entry.engine,
-            "window_s": entry.window_s,
-            "slide_s": entry.slide_s,
-            "decay_s": entry.decay_s,
+            "config": entry.config,
             "seq": seq_now,
             "payload": payload,
             "records": records,
@@ -850,18 +812,11 @@ class QuantileService:
         # then subsumed wholesale by the install
         self.registry.apply_all()
         replaced = self.registry.install_serialized(
-            req.name,
-            kind=req.kind,
-            epsilon=req.epsilon,
-            n=req.n,
-            policy=req.policy,
-            engine=req.engine,
-            payload=req.payload,
+            req.name, req.config, req.payload
         )
         if self.journal is not None:
             seq = self.journal.append_restore(
-                req.name, req.kind, req.epsilon, req.n, req.policy,
-                req.engine, req.payload, token=req.token,
+                req.name, req.config, req.payload, req.token
             )
         else:
             seq = 0

@@ -14,12 +14,9 @@ File layout (little-endian)::
     header:  magic "MRLSNAP1" | u16 version | u16 pad | u32 n_metrics
              | u64 seq
     per metric:
-        name (u16 len + utf8) | u8 kind | f64 epsilon
-        | u64 n (0 = unset) | policy (u16 len + utf8)
-        | u8 engine                       (version >= 2 only)
-        | u8 wmode | f64 p1 | f64 p2      (version >= 3 only; wmode 0 =
-          plain, 1 = window: p1/p2 = window/slide seconds, 2 = decay:
-          p1 = half-life seconds)
+        name (u16 len + utf8) | config block, full placement (head,
+        engine byte and window block; docs/formats.md, "Metric config
+        block")
         windowed (wmode != 0):
                   u32 len | ring wire payload (WINSKT01/EXDSKT01)
         paper fixed:  u32 len | core-serialize payload
@@ -34,7 +31,7 @@ File layout (little-endian)::
                                   | n_values * f64
                   u32 len | core-serialize payload (live stage)
         kll/frugal:   u32 len | engine wire payload (KLLSKT01/FRGSKT01)
-    rules (version >= 3 only):
+    rules:
         u32 n_rules
         per rule: rule_id (u16 len + utf8) | metric (u16 len + utf8)
                   | f64 phi | u8 op | f64 threshold
@@ -43,8 +40,8 @@ File layout (little-endian)::
 
 Version 2 added the per-metric engine byte; version 3 the window/decay
 config block and the WATCH rules section (rule configs plus how often
-each fired, so alert counters survive a crash).  Version-1 files (all
-metrics implicitly ``paper``) and version-2 files still read.
+each fired, so alert counters survive a crash).  Only version 3 reads:
+version-1 and version-2 files are refused, naming their version.
 
 Writes are atomic (temp file + ``os.replace`` + directory fsync): a
 crash mid-write leaves the previous snapshot untouched, and the CRC
@@ -71,6 +68,16 @@ from ..core.errors import StorageError
 from ..core.framework import QuantileFramework
 from ..core.frugal import FrugalSketch
 from ..core.kll import KLLSketch
+from .protocol import (
+    CONFIG_FULL,
+    _RULE_OP_NAMES,
+    _RULE_OPS,
+    _lookup,
+    _pack_str,
+    _Reader,
+    pack_config,
+    read_config,
+)
 from .registry import SketchRegistry
 
 __all__ = ["write_snapshot", "read_snapshot", "SNAPSHOT_VERSION"]
@@ -78,25 +85,12 @@ __all__ = ["write_snapshot", "read_snapshot", "SNAPSHOT_VERSION"]
 _MAGIC = b"MRLSNAP1"
 SNAPSHOT_VERSION = 3
 
-_WMODE_NONE = 0
-_WMODE_WINDOW = 1
-_WMODE_DECAY = 2
-
-_ENGINE_IDS = {"paper": 0, "kll": 1, "frugal": 2}
-_ENGINE_NAMES = {v: k for k, v in _ENGINE_IDS.items()}
-
 _HEADER = struct.Struct("<8sHHIQ")
 _STAGE_HEADER = struct.Struct("<QQQI")
 _BUFFER_HEADER = struct.Struct("<QiIII")
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return _U16.pack(len(raw)) + raw
 
 
 def _dump_framework(fw: QuantileFramework) -> bytes:
@@ -188,28 +182,8 @@ def _write_image(
     body.write(_HEADER.pack(_MAGIC, SNAPSHOT_VERSION, 0, len(entries), seq))
     for entry in entries:
         body.write(_pack_str(entry.name))
-        body.write(bytes([0 if entry.kind == "fixed" else 1]))
-        body.write(_F64.pack(entry.epsilon))
-        body.write(_U64.pack(0 if entry.n is None else int(entry.n)))
-        body.write(_pack_str(entry.policy))
-        body.write(bytes([_ENGINE_IDS[entry.engine]]))
-        if entry.window_s:
-            body.write(bytes([_WMODE_WINDOW]))
-            body.write(_F64.pack(entry.window_s))
-            body.write(_F64.pack(entry.slide_s))
-        elif entry.decay_s:
-            body.write(bytes([_WMODE_DECAY]))
-            body.write(_F64.pack(entry.decay_s))
-            body.write(_F64.pack(0.0))
-        else:
-            body.write(bytes([_WMODE_NONE]))
-            body.write(_F64.pack(0.0))
-            body.write(_F64.pack(0.0))
-        if entry.windowed:
-            payload = entry.sketch.to_bytes()
-            body.write(_U32.pack(len(payload)))
-            body.write(payload)
-        elif entry.engine in ("kll", "frugal"):
+        body.write(pack_config(entry.config, CONFIG_FULL))
+        if entry.windowed or entry.config.engine in ("kll", "frugal"):
             payload = entry.sketch.to_bytes()
             body.write(_U32.pack(len(payload)))
             body.write(payload)
@@ -218,8 +192,6 @@ def _write_image(
         else:
             body.write(_dump_adaptive(entry.sketch))
         body.spill()
-    from .protocol import _RULE_OPS
-
     rule_list = rules.rules() if rules is not None else []
     body.write(_U32.pack(len(rule_list)))
     for rule in rule_list:
@@ -278,52 +250,30 @@ def write_snapshot(
     return nbytes
 
 
-class _SnapReader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, size: int, what: str) -> bytes:
-        end = self.pos + size
-        if end > len(self.buf):
-            raise StorageError(
-                f"corrupt snapshot: expected {size} bytes of {what}"
-            )
-        raw = self.buf[self.pos : end]
-        self.pos = end
-        return raw
-
-    def unpack(self, st: struct.Struct, what: str):
-        return st.unpack(self.take(st.size, what))
-
-    def string(self, what: str) -> str:
-        (n,) = self.unpack(_U16, what)
-        return self.take(n, what).decode("utf-8")
+def _unpack(r: _Reader, st: struct.Struct, what: str) -> tuple:
+    return st.unpack(r.take(st.size, what))
 
 
-def _load_framework(r: _SnapReader, what: str) -> QuantileFramework:
-    (size,) = r.unpack(_U32, what)
-    return serialize.loads(r.take(size, what))
+def _load_payload(r: _Reader, what: str) -> bytes:
+    return r.take(r.u32(f"{what} size"), what)
 
 
 def _load_adaptive(
-    r: _SnapReader, epsilon: float, policy: str
+    r: _Reader, epsilon: float, policy: str
 ) -> AdaptiveQuantileSketch:
-    (initial_capacity,) = r.unpack(_U64, "initial capacity")
-    (capacity,) = r.unpack(_U64, "capacity")
-    (active_n,) = r.unpack(_U64, "active n")
-    (n_closed,) = r.unpack(_U32, "closed stage count")
+    initial_capacity = r.u64("initial capacity")
+    capacity = r.u64("capacity")
+    active_n = r.u64("active n")
+    n_closed = r.u32("closed stage count")
     closed: List[_ClosedStage] = []
     for _ in range(n_closed):
-        n, n_collapses, sum_weights, n_buffers = r.unpack(
-            _STAGE_HEADER, "stage header"
+        n, n_collapses, sum_weights, n_buffers = _unpack(
+            r, _STAGE_HEADER, "stage header"
         )
         buffers = []
         for _ in range(n_buffers):
-            weight, level, n_low, n_high, n_values = r.unpack(
-                _BUFFER_HEADER, "stage buffer header"
+            weight, level, n_low, n_high, n_values = _unpack(
+                r, _BUFFER_HEADER, "stage buffer header"
             )
             values = np.frombuffer(
                 r.take(8 * n_values, "stage buffer values"), dtype="<f8"
@@ -344,7 +294,7 @@ def _load_adaptive(
         closed.append(
             _ClosedStage.from_state(buffers, n, n_collapses, sum_weights)
         )
-    active = _load_framework(r, "active stage payload")
+    active = serialize.loads(_load_payload(r, "active stage payload"))
     return AdaptiveQuantileSketch._restore(
         epsilon=epsilon,
         initial_capacity=initial_capacity,
@@ -367,8 +317,7 @@ def read_snapshot(
     registry must be freshly constructed (no metrics); restored sketches
     are re-adopted into its shard banks exactly as live creation would.
     Passing a fresh :class:`~repro.service.rules.RuleSet` as *rules*
-    restores the WATCH rules and their alert counters (version >= 3
-    snapshots; older files simply have none).
+    restores the WATCH rules and their alert counters.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -377,84 +326,45 @@ def read_snapshot(
     crc_stored = _U32.unpack(raw[-4:])[0]
     if (zlib.crc32(raw[:-4]) & 0xFFFFFFFF) != crc_stored:
         raise StorageError(f"{path}: snapshot CRC mismatch")
-    r = _SnapReader(raw[:-4])
-    magic, version, _pad, n_metrics, seq = r.unpack(_HEADER, "header")
+    r = _Reader(raw[:-4])
+    magic, version, _pad, n_metrics, seq = _unpack(r, _HEADER, "header")
     if magic != _MAGIC:
         raise StorageError(f"{path}: bad magic {magic!r}: not a snapshot")
-    if version not in (1, 2, SNAPSHOT_VERSION):
-        raise StorageError(f"{path}: unsupported snapshot version {version}")
+    if version != SNAPSHOT_VERSION:
+        raise StorageError(
+            f"{path}: unsupported snapshot version {version} (this build "
+            f"reads version {SNAPSHOT_VERSION} only)"
+        )
     for _ in range(n_metrics):
         name = r.string("metric name")
-        kind_id = r.take(1, "metric kind")[0]
-        if kind_id not in (0, 1):
-            raise StorageError(f"{path}: unknown metric kind id {kind_id}")
-        kind = "fixed" if kind_id == 0 else "adaptive"
-        (epsilon,) = r.unpack(_F64, "epsilon")
-        (n_raw,) = r.unpack(_U64, "n")
-        n: Optional[int] = None if n_raw == 0 else n_raw
-        policy = r.string("policy")
-        engine = "paper"
-        if version >= 2:
-            engine_id = r.take(1, "sketch engine")[0]
-            if engine_id not in _ENGINE_NAMES:
-                raise StorageError(
-                    f"{path}: unknown sketch engine id {engine_id}"
-                )
-            engine = _ENGINE_NAMES[engine_id]
-        window_s = slide_s = decay_s = 0.0
-        if version >= 3:
-            wmode = r.take(1, "window mode")[0]
-            (p1,) = r.unpack(_F64, "window p1")
-            (p2,) = r.unpack(_F64, "window p2")
-            if wmode == _WMODE_WINDOW:
-                window_s, slide_s = p1, p2
-            elif wmode == _WMODE_DECAY:
-                decay_s = p1
-            elif wmode != _WMODE_NONE:
-                raise StorageError(f"{path}: unknown window mode {wmode}")
+        config = read_config(r, CONFIG_FULL)
         sketch: object
-        if window_s or decay_s:
+        if config.windowed:
             from ..core.engines import loads_any
 
-            (size,) = r.unpack(_U32, "ring payload size")
-            sketch = loads_any(bytes(r.take(size, "ring payload")))
-        elif engine == "kll":
-            (size,) = r.unpack(_U32, "kll payload size")
-            sketch = KLLSketch.from_bytes(r.take(size, "kll payload"))
-        elif engine == "frugal":
-            (size,) = r.unpack(_U32, "frugal payload size")
-            sketch = FrugalSketch.from_bytes(r.take(size, "frugal payload"))
-        elif kind == "fixed":
-            sketch = _load_framework(r, "framework payload")
+            sketch = loads_any(_load_payload(r, "ring payload"))
+        elif config.engine == "kll":
+            sketch = KLLSketch.from_bytes(_load_payload(r, "kll payload"))
+        elif config.engine == "frugal":
+            sketch = FrugalSketch.from_bytes(
+                _load_payload(r, "frugal payload")
+            )
+        elif config.kind == "fixed":
+            sketch = serialize.loads(_load_payload(r, "framework payload"))
         else:
-            sketch = _load_adaptive(r, epsilon, policy)
-        registry.register_restored(
-            name, kind, epsilon, n, policy, sketch, engine,
-            window_s, slide_s, decay_s,
-        )
-    if version >= 3:
-        from .protocol import _RULE_OP_NAMES
-
-        (n_rules,) = r.unpack(_U32, "rule count")
-        for _ in range(n_rules):
-            rule_id = r.string("rule id")
-            metric = r.string("rule metric")
-            (phi,) = r.unpack(_F64, "rule phi")
-            op_id = r.take(1, "rule operator")[0]
-            if op_id not in _RULE_OP_NAMES:
-                raise StorageError(
-                    f"{path}: unknown rule operator id {op_id}"
-                )
-            (threshold,) = r.unpack(_F64, "rule threshold")
-            (definite_total,) = r.unpack(_U64, "definite total")
-            (possible_total,) = r.unpack(_U64, "possible total")
-            if rules is not None:
-                rules.add(
-                    rule_id, metric, phi, _RULE_OP_NAMES[op_id], threshold
-                )
-                rules.restore_counters(
-                    rule_id, definite_total, possible_total
-                )
+            sketch = _load_adaptive(r, config.epsilon, config.policy)
+        registry.register_restored(name, config, sketch)
+    for _ in range(r.u32("rule count")):
+        rule_id = r.string("rule id")
+        metric = r.string("rule metric")
+        phi = r.f64("rule phi")
+        op = _lookup(_RULE_OP_NAMES, r.u8("rule operator"), "rule operator")
+        threshold = r.f64("rule threshold")
+        definite_total = r.u64("definite total")
+        possible_total = r.u64("possible total")
+        if rules is not None:
+            rules.add(rule_id, metric, phi, op, threshold)
+            rules.restore_counters(rule_id, definite_total, possible_total)
     if r.pos != len(r.buf):
         raise StorageError(f"{path}: trailing bytes after snapshot payload")
     return seq

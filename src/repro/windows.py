@@ -50,7 +50,7 @@ from typing import Any, BinaryIO, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .core.errors import ConfigurationError, EmptySummaryError, StorageError
-from .core.protocols import describe_dict
+from .core.protocols import ENGINE_BY_ID, ENGINE_IDS, describe_dict
 
 __all__ = [
     "WindowedSketch",
@@ -65,10 +65,6 @@ WINDOW_MAGIC = b"WINSKT01"
 DECAY_MAGIC = b"EXDSKT01"
 
 _WIRE_VERSION = 1
-
-#: wire ids for the *inner* engine (mirrors the service convention)
-_ENGINE_IDS = {"paper": 0, "kll": 1, "frugal": 2}
-_ENGINE_NAMES = {v: k for k, v in _ENGINE_IDS.items()}
 
 #: per-bucket design capacity for paper-engine buckets created without n
 DEFAULT_BUCKET_DESIGN_N = 1 << 30
@@ -221,10 +217,10 @@ class _TimeBucketedSketch:
         phis: Optional[Sequence[float]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if engine not in _ENGINE_IDS:
+        if engine not in ENGINE_IDS:
             raise ConfigurationError(
                 f"unknown sketch engine {engine!r}; choose one of "
-                f"{tuple(_ENGINE_IDS)}"
+                f"{tuple(ENGINE_IDS)}"
             )
         if not (0 < eps < 1):
             raise ConfigurationError(f"need 0 < eps < 1, got {eps}")
@@ -434,7 +430,7 @@ class _TimeBucketedSketch:
         out = [
             self.MAGIC,
             _U16.pack(_WIRE_VERSION),
-            bytes([_ENGINE_IDS[self.engine]]),
+            bytes([ENGINE_IDS[self.engine]]),
             _F64.pack(self.eps),
             _U64.pack(0 if self.design_n is None else self.design_n),
         ]
@@ -474,7 +470,7 @@ class _TimeBucketedSketch:
                 f"unsupported {cls.__name__} wire version {version}"
             )
         engine_id = c.take(1, "engine")[0]
-        if engine_id not in _ENGINE_NAMES:
+        if engine_id not in ENGINE_BY_ID:
             raise StorageError(f"unknown inner engine id {engine_id}")
         (eps,) = c.unpack(_F64, "eps")
         (design_n,) = c.unpack(_U64, "design n")
@@ -485,7 +481,7 @@ class _TimeBucketedSketch:
         (p1,) = c.unpack(_F64, "p1")
         (p2,) = c.unpack(_F64, "p2")
         return {
-            "engine": _ENGINE_NAMES[engine_id],
+            "engine": ENGINE_BY_ID[engine_id],
             "eps": eps,
             "n": None if design_n == 0 else design_n,
             "policy": policy,

@@ -24,6 +24,7 @@ import pytest
 
 from repro.cluster import ClusterCoordinator
 from repro.service import ChaosProxy, FaultEvent, FaultSchedule
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 
 TOTAL = 20_000
@@ -99,7 +100,9 @@ def test_sigkill_mid_ingest_exactly_once_within_certified_bound(coord):
 
             # -- the answer matches the offline certified bound --------
             offline = SketchRegistry()
-            offline.create(name, kind="fixed", epsilon=EPSILON, n=TOTAL)
+            offline.create(
+                name, MetricConfig(kind="fixed", epsilon=EPSILON, n=TOTAL)
+            )
             for batch in batches:
                 offline.ingest(name, batch)
             offline.apply_all()

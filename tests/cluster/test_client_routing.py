@@ -23,6 +23,7 @@ from repro.core.engines import engine_of
 from repro.core.errors import EmptySummaryError, EngineMismatchError
 from repro.core.serialize import loads
 from repro.service import QuantileClient
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 
 PHIS = [0.1, 0.5, 0.9, 0.99]
@@ -181,7 +182,9 @@ class TestCertifiedFanIn:
 
         offline = SketchRegistry()
         for name, data in streams.items():
-            offline.create(name, kind="fixed", epsilon=0.01, n=50_000)
+            offline.create(
+                name, MetricConfig(kind="fixed", epsilon=0.01, n=50_000)
+            )
             offline.ingest(name, data)
         merged = merge_tagged(
             [(name, offline.fetch_serialized(name)) for name in streams]
@@ -322,7 +325,9 @@ class TestMixedEngineResync:
         is corrupt; installing either interpretation would guess, so
         the driver refuses and names the donor's config explicitly."""
         offline = SketchRegistry()
-        offline.create("evil/m", kind="fixed", epsilon=0.02, n=10_000)
+        offline.create(
+            "evil/m", MetricConfig(kind="fixed", epsilon=0.02, n=10_000)
+        )
         offline.ingest("evil/m", np.arange(300.0))
         paper_payload = offline.fetch_serialized("evil/m")
 
@@ -330,11 +335,8 @@ class TestMixedEngineResync:
             def sync_pull(self, name, after_seq=0):
                 return {
                     "rebase": False,
-                    "kind": "fixed",
-                    "epsilon": 0.02,
-                    "n": 10_000,
-                    "policy": "new",
-                    "engine": "kll",  # ...but the bytes say paper
+                    # ...but the bytes say paper
+                    "config": MetricConfig(epsilon=0.02, engine="kll"),
                     "seq": 1,
                     "payload": paper_payload,
                     "records": [],

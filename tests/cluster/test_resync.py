@@ -41,6 +41,7 @@ from repro.cluster import (
 from repro.cluster.errors import ClusterConfigError, ClusterSyncError
 from repro.obs import hooks as obs_hooks
 from repro.service import ChaosProxy, FaultEvent, FaultSchedule, QuantileClient
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 
 BATCH = 500
@@ -224,7 +225,7 @@ class TestCrashAndResync:
             values, bound, n = client.query_merged(names, PHIS)
         offline = SketchRegistry()
         for name in names:
-            offline.create(name, **create_kwargs("paper"))
+            offline.create(name, MetricConfig(**create_kwargs("paper")))
             offline.ingest(name, scenario.data[name])
         offline.apply_all()
         merged = merge_tagged(

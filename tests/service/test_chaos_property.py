@@ -39,6 +39,7 @@ from repro.service import (
     QuantileClient,
     ServerThread,
 )
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 
 POLICIES = ["new", "munro-paterson", "alsabti-ranka-singh"]
@@ -82,7 +83,7 @@ def _reference(policy, batches):
     """The fault-free run: same creates and batches, no transport at all."""
     registry = SketchRegistry(n_shards=2)
     for name, config in _metrics(policy):
-        registry.create(name, **config)
+        registry.create(name, MetricConfig(**config))
     for name, values in batches:
         registry.ingest(name, values)
     return registry

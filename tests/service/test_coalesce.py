@@ -18,7 +18,7 @@ import pytest
 
 from repro.service import QuantileClient, ServerThread
 from repro.service import protocol
-from repro.service.protocol import Opcode, Request
+from repro.service.protocol import MetricConfig, Opcode, Request
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def create_frame(name, token):
     return protocol.encode_request_framed(
         Request(
             opcode=Opcode.CREATE, name=name, token=token,
-            kind="adaptive", epsilon=0.02, n=0, policy="new",
+            config=MetricConfig(kind="adaptive", epsilon=0.02),
         )
     )
 

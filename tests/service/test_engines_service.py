@@ -18,7 +18,7 @@ from repro.core.frugal import DEFAULT_BANK_PHIS, FrugalSketch
 from repro.service import QuantileClient, ServerThread
 from repro.service import protocol
 from repro.service.journal import IngestJournal, read_journal
-from repro.service.protocol import Opcode, Request
+from repro.service.protocol import MetricConfig, Opcode, Request
 
 PHIS = [0.1, 0.5, 0.9]
 
@@ -44,23 +44,23 @@ class TestWireFormat:
     def test_protocol_engine_byte_roundtrip(self):
         for engine in ("paper", "kll", "frugal"):
             req = Request(
-                opcode=Opcode.CREATE, name="m", kind="fixed",
-                epsilon=0.01, engine=engine,
+                opcode=Opcode.CREATE, name="m",
+                config=MetricConfig(kind="fixed", epsilon=0.01, engine=engine),
             )
             out = protocol.decode_request(protocol.encode_request(req))
-            assert out.engine == engine
+            assert out.config.engine == engine
 
     def test_protocol_pre_engine_payload_decodes_as_paper(self):
         """A CREATE encoded by an old client carries no engine byte."""
-        req = Request(opcode=Opcode.CREATE, name="m", kind="adaptive",
-                      epsilon=0.01)
+        req = Request(opcode=Opcode.CREATE, name="m",
+                      config=MetricConfig(kind="adaptive", epsilon=0.01))
         payload = protocol.encode_request(req)
         # the default-engine encoding *is* the old format: no trailing byte
-        assert protocol.decode_request(payload).engine == "paper"
+        assert protocol.decode_request(payload).config.engine == "paper"
 
     def test_protocol_unknown_engine_id_rejected(self):
-        req = Request(opcode=Opcode.CREATE, name="m", kind="fixed",
-                      epsilon=0.01, engine="kll")
+        req = Request(opcode=Opcode.CREATE, name="m",
+                      config=MetricConfig(epsilon=0.01, engine="kll"))
         payload = protocol.encode_request(req)
         with pytest.raises(StorageError, match="engine"):
             protocol.decode_request(payload[:-1] + bytes([99]))
@@ -68,20 +68,21 @@ class TestWireFormat:
     def test_protocol_unknown_engine_name_rejected_on_encode(self):
         with pytest.raises(ConfigurationError):
             protocol.encode_request(
-                Request(opcode=Opcode.CREATE, name="m", kind="fixed",
-                        engine="tdigest")
+                Request(opcode=Opcode.CREATE, name="m",
+                        config=MetricConfig(engine="tdigest"))
             )
 
     def test_journal_engine_roundtrip(self, tmp_path):
         path = str(tmp_path / "j.log")
         journal = IngestJournal(path)
-        journal.append_create("a", "fixed", 0.02, 1000, "new")
-        journal.append_create("b", "fixed", 0.02, None, "new", engine="kll")
-        journal.append_create("c", "fixed", 0.01, None, "new",
-                              engine="frugal")
+        journal.append_create("a", MetricConfig("fixed", 0.02, 1000))
+        journal.append_create("b", MetricConfig(epsilon=0.02, engine="kll"))
+        journal.append_create("c", MetricConfig(engine="frugal"))
         journal.close()
         records = read_journal(path).records
-        assert [r.engine for r in records] == ["paper", "kll", "frugal"]
+        assert [r.config.engine for r in records] == [
+            "paper", "kll", "frugal",
+        ]
         assert [r.name for r in records] == ["a", "b", "c"]
 
 

@@ -471,13 +471,13 @@ class TestServerResilience:
         import socket as socket_mod
 
         from repro.service import protocol
-        from repro.service.protocol import Opcode, Request
+        from repro.service.protocol import MetricConfig, Opcode, Request
 
         data_dir = str(tmp_path / "data")
         create = protocol.encode_request_framed(
             Request(
                 opcode=Opcode.CREATE, name="t/m", token=1,
-                kind="adaptive", epsilon=0.02, n=0, policy="new",
+                config=MetricConfig(kind="adaptive", epsilon=0.02),
             )
         )
         retried = bytes(

@@ -15,6 +15,7 @@ from repro.service.journal import (
     IngestJournal,
     read_journal,
 )
+from repro.service.protocol import MetricConfig
 
 
 @pytest.fixture
@@ -24,9 +25,11 @@ def path(tmp_path):
 
 def write_sample(path: str, *, fsync: bool = False) -> IngestJournal:
     j = IngestJournal(path, fsync=fsync)
-    j.append_create("api/latency", "adaptive", 0.01, None, "new")
+    j.append_create("api/latency", MetricConfig("adaptive", 0.01))
     j.append_ingest("api/latency", np.arange(100.0))
-    j.append_create("db/rows", "fixed", 0.001, 10**6, "munro-paterson")
+    j.append_create(
+        "db/rows", MetricConfig("fixed", 0.001, 10**6, "munro-paterson")
+    )
     j.append_ingest("db/rows", np.array([3.5, -1.0, 7.25]))
     return j
 
@@ -41,9 +44,10 @@ class TestRoundtrip:
             CREATE_RECORD, INGEST_RECORD, CREATE_RECORD, INGEST_RECORD,
         ]
         create = scan.records[2]
-        assert (create.name, create.kind, create.epsilon, create.n,
-                create.policy) == ("db/rows", "fixed", 0.001, 10**6,
-                                   "munro-paterson")
+        assert create.name == "db/rows"
+        assert create.config == MetricConfig(
+            "fixed", 0.001, 10**6, "munro-paterson"
+        )
         np.testing.assert_array_equal(
             scan.records[3].values, [3.5, -1.0, 7.25]
         )
@@ -157,8 +161,10 @@ class TestRestoreRecord:
         payload = b"KLLSKT01" + bytes(range(200))
         j = write_sample(path)
         seq = j.append_restore(
-            "db/rows", "fixed", 0.001, 10**6, "munro-paterson",
-            "kll", payload, token=0xABCD,
+            "db/rows",
+            MetricConfig("fixed", 0.001, None, "munro-paterson", "kll"),
+            payload,
+            token=0xABCD,
         )
         j.close()
         assert seq == 5
@@ -167,22 +173,22 @@ class TestRestoreRecord:
         rec = scan.records[-1]
         assert rec.type == RESTORE_RECORD
         assert (rec.seq, rec.name, rec.token) == (5, "db/rows", 0xABCD)
-        assert (rec.kind, rec.epsilon, rec.n, rec.policy, rec.engine) == (
-            "fixed", 0.001, 10**6, "munro-paterson", "kll"
+        assert rec.config == MetricConfig(
+            "fixed", 0.001, None, "munro-paterson", "kll"
         )
         assert rec.payload == payload
 
     def test_restore_none_n_encodes_as_zero(self, path):
         j = IngestJournal(path)
-        j.append_restore("m", "fixed", 0.01, None, "new", "frugal", b"\x01")
+        j.append_restore("m", MetricConfig(engine="frugal"), b"\x01")
         j.close()
         rec = read_journal(path).records[0]
-        assert rec.n is None
-        assert rec.engine == "frugal"
+        assert rec.config.n is None
+        assert rec.config.engine == "frugal"
 
     def test_reopen_resumes_sequence_past_restore(self, path):
         j = IngestJournal(path)
-        j.append_restore("m", "fixed", 0.01, None, "new", "paper", b"MRL")
+        j.append_restore("m", MetricConfig(), b"MRL")
         j.close()
         j = IngestJournal(path)
         assert j.seq == 1
@@ -194,7 +200,7 @@ class TestRestoreRecord:
 
     def test_torn_restore_tail_is_dropped_cleanly(self, path):
         j = write_sample(path)
-        j.append_restore("m", "fixed", 0.01, None, "new", "paper", b"x" * 64)
+        j.append_restore("m", MetricConfig(), b"x" * 64)
         j.close()
         with open(path, "r+b") as fh:
             fh.seek(0, os.SEEK_END)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, StorageError
 from repro.service import protocol
-from repro.service.protocol import Opcode, Request
+from repro.service.protocol import MetricConfig, Opcode, Request
 
 
 def roundtrip(req: Request) -> Request:
@@ -19,25 +19,22 @@ def roundtrip(req: Request) -> Request:
 
 class TestRequestRoundtrip:
     def test_create(self):
-        req = Request(
-            opcode=Opcode.CREATE,
-            name="api/latency",
-            kind="adaptive",
-            epsilon=0.005,
-            n=None,
-            policy="munro-paterson",
+        config = MetricConfig(
+            kind="adaptive", epsilon=0.005, n=None, policy="munro-paterson"
         )
+        req = Request(opcode=Opcode.CREATE, name="api/latency", config=config)
         out = roundtrip(req)
-        assert (out.name, out.kind, out.epsilon, out.n, out.policy) == (
-            "api/latency", "adaptive", 0.005, None, "munro-paterson"
-        )
+        assert (out.name, out.config) == ("api/latency", config)
 
     def test_create_fixed_with_n(self):
         out = roundtrip(
-            Request(opcode=Opcode.CREATE, name="m", kind="fixed", n=10**6)
+            Request(
+                opcode=Opcode.CREATE, name="m",
+                config=MetricConfig(kind="fixed", n=10**6),
+            )
         )
-        assert out.kind == "fixed"
-        assert out.n == 10**6
+        assert out.config.kind == "fixed"
+        assert out.config.n == 10**6
 
     def test_ingest_preserves_values_bitwise(self):
         values = np.random.default_rng(0).normal(size=1000)
@@ -97,7 +94,10 @@ class TestMalformedInput:
     def test_unknown_kind_on_encode(self):
         with pytest.raises(ConfigurationError):
             protocol.encode_request(
-                Request(opcode=Opcode.CREATE, name="m", kind="bogus")
+                Request(
+                    opcode=Opcode.CREATE, name="m",
+                    config=MetricConfig(kind="bogus"),
+                )
             )
 
     def test_truncated_body(self):
@@ -175,23 +175,20 @@ class TestSyncOpcodes:
 
     def test_restore_request_roundtrip_bitwise(self):
         payload = bytes(range(256)) * 3
+        config = MetricConfig(
+            kind="fixed", epsilon=0.005, policy="munro-paterson", engine="kll"
+        )
         out = roundtrip(
             Request(
                 opcode=Opcode.RESTORE,
                 name="ns/m",
                 token=0xDEADBEEF,
-                kind="fixed",
-                epsilon=0.005,
-                n=10**6,
-                policy="munro-paterson",
-                engine="kll",
+                config=config,
                 payload=payload,
             )
         )
         assert out.token == 0xDEADBEEF
-        assert (out.kind, out.epsilon, out.n, out.policy, out.engine) == (
-            "fixed", 0.005, 10**6, "munro-paterson", "kll"
-        )
+        assert out.config == config
         assert out.payload == payload
 
     def test_restore_rejects_unknown_engine_on_encode(self):
@@ -200,8 +197,7 @@ class TestSyncOpcodes:
                 Request(
                     opcode=Opcode.RESTORE,
                     name="m",
-                    kind="fixed",
-                    engine="bogus",
+                    config=MetricConfig(kind="fixed", engine="bogus"),
                     payload=b"",
                 )
             )
@@ -221,11 +217,7 @@ class TestSyncOpcodes:
             Opcode.SYNCPULL,
             {
                 "rebase": False,
-                "kind": "fixed",
-                "epsilon": 0.01,
-                "n": None,
-                "policy": "new",
-                "engine": "frugal",
+                "config": MetricConfig(engine="frugal"),
                 "seq": 9,
                 "payload": b"FRGSKT01\x00\x01",
                 "records": records,
@@ -233,9 +225,7 @@ class TestSyncOpcodes:
         )
         out = protocol.decode_response(Opcode.SYNCPULL, body)
         assert out["rebase"] is False
-        assert (out["kind"], out["n"], out["engine"]) == (
-            "fixed", None, "frugal"
-        )
+        assert out["config"] == MetricConfig(engine="frugal")
         assert out["seq"] == 9
         assert out["payload"] == b"FRGSKT01\x00\x01"
         assert [(s, t) for s, t, _ in out["records"]] == [(8, 101), (9, 102)]
@@ -247,11 +237,7 @@ class TestSyncOpcodes:
             Opcode.SYNCPULL,
             {
                 "rebase": True,
-                "kind": "fixed",
-                "epsilon": 0.01,
-                "n": 1000,
-                "policy": "new",
-                "engine": "paper",
+                "config": MetricConfig(n=1000),
                 "seq": 3,
                 "payload": b"",
                 "records": [],
@@ -259,7 +245,7 @@ class TestSyncOpcodes:
         )
         out = protocol.decode_response(Opcode.SYNCPULL, body)
         assert out["rebase"] is True
-        assert out["n"] == 1000
+        assert out["config"].n == 1000
         assert out["records"] == []
 
     def test_restore_response_roundtrip(self):
@@ -276,11 +262,7 @@ class TestSyncOpcodes:
             Opcode.SYNCPULL,
             {
                 "rebase": False,
-                "kind": "fixed",
-                "epsilon": 0.01,
-                "n": None,
-                "policy": "new",
-                "engine": "paper",
+                "config": MetricConfig(),
                 "seq": 1,
                 "payload": b"xyz",
                 "records": [(1, 7, np.arange(8.0))],

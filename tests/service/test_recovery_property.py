@@ -29,6 +29,7 @@ from repro.service.journal import (
     IngestJournal,
     read_journal,
 )
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 from repro.service.snapshot import read_snapshot, write_snapshot
 
@@ -49,10 +50,10 @@ def kernels_mode(request):
 
 def _metrics(policy):
     return [
-        ("svc/fixed", dict(kind="fixed", epsilon=0.03, n=20_000,
-                           policy=policy)),
-        ("svc/adaptive", dict(kind="adaptive", epsilon=0.03,
-                              policy=policy)),
+        ("svc/fixed", MetricConfig(kind="fixed", epsilon=0.03, n=20_000,
+                                   policy=policy)),
+        ("svc/adaptive", MetricConfig(kind="adaptive", epsilon=0.03,
+                                      policy=policy)),
     ]
 
 
@@ -73,11 +74,8 @@ def _run_with_journal(tmp_path, policy, batches, snapshot_after):
     registry = SketchRegistry(n_shards=2)
     journal = IngestJournal(journal_path)
     for name, config in _metrics(policy):
-        journal.append_create(
-            name, config["kind"], config["epsilon"],
-            config.get("n"), config["policy"],
-        )
-        registry.create(name, **config)
+        journal.append_create(name, config)
+        registry.create(name, config)
     for i, (name, values) in enumerate(batches):
         journal.append_ingest(name, values)
         registry.ingest(name, values)
@@ -100,10 +98,7 @@ def _recover(journal_path, snapshot_path):
         if record.seq <= seq:
             continue
         if record.type == CREATE_RECORD:
-            registry.create(
-                record.name, kind=record.kind, epsilon=record.epsilon,
-                n=record.n, policy=record.policy,
-            )
+            registry.create(record.name, record.config)
         elif record.type == INGEST_RECORD:
             registry.ingest(record.name, record.values)
             acked_batches += 1
@@ -114,7 +109,7 @@ def _reference(policy, batches):
     """The uninterrupted run: same batches, no durability machinery."""
     registry = SketchRegistry(n_shards=2)
     for name, config in _metrics(policy):
-        registry.create(name, **config)
+        registry.create(name, config)
     for name, values in batches:
         registry.ingest(name, values)
     return registry
@@ -219,11 +214,8 @@ def test_crash_points_inside_snapshot_rotation(
     registry = SketchRegistry(n_shards=2)
     journal = IngestJournal(journal_path)
     for name, config in _metrics(policy):
-        journal.append_create(
-            name, config["kind"], config["epsilon"],
-            config.get("n"), config["policy"],
-        )
-        registry.create(name, **config)
+        journal.append_create(name, config)
+        registry.create(name, config)
     for name, values in pre_crash:
         journal.append_ingest(name, values)
         registry.ingest(name, values)
@@ -264,11 +256,8 @@ def test_crash_between_snapshot_and_rotation(tmp_path, policy, kernels_mode):
     registry = SketchRegistry(n_shards=2)
     journal = IngestJournal(journal_path)
     for name, config in _metrics(policy):
-        journal.append_create(
-            name, config["kind"], config["epsilon"],
-            config.get("n"), config["policy"],
-        )
-        registry.create(name, **config)
+        journal.append_create(name, config)
+        registry.create(name, config)
     for i, (name, values) in enumerate(batches):
         journal.append_ingest(name, values)
         registry.ingest(name, values)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.adaptive import AdaptiveQuantileSketch
 from repro.core.errors import ConfigurationError, EmptySummaryError
 from repro.core.framework import QuantileFramework
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry, shard_of
 
 PHIS = [0.1, 0.5, 0.9]
@@ -18,7 +19,9 @@ BAD_EPSILONS = [7.0, -1, 0, 1.0, float("nan")]
 class TestCreate:
     def test_create_and_get(self):
         registry = SketchRegistry()
-        entry, created = registry.create("ns/m", kind="adaptive")
+        entry, created = registry.create(
+            "ns/m", MetricConfig(kind="adaptive")
+        )
         assert created
         assert registry.get("ns/m") is entry
         assert "ns/m" in registry
@@ -26,18 +29,21 @@ class TestCreate:
 
     def test_idempotent_same_config(self):
         registry = SketchRegistry()
-        first, created = registry.create("m", kind="fixed", epsilon=0.01,
-                                         n=1000)
-        again, created_again = registry.create("m", kind="fixed",
-                                               epsilon=0.01, n=1000)
+        config = MetricConfig(kind="fixed", epsilon=0.01, n=1000)
+        first, created = registry.create("m", config)
+        again, created_again = registry.create(
+            "m", MetricConfig(kind="fixed", epsilon=0.01, n=1000)
+        )
         assert created and not created_again
         assert again is first
 
     def test_conflicting_config_rejected(self):
         registry = SketchRegistry()
-        registry.create("m", kind="fixed", epsilon=0.01, n=1000)
+        registry.create("m", MetricConfig(kind="fixed", epsilon=0.01, n=1000))
         with pytest.raises(ConfigurationError, match="exists"):
-            registry.create("m", kind="fixed", epsilon=0.05, n=1000)
+            registry.create(
+                "m", MetricConfig(kind="fixed", epsilon=0.05, n=1000)
+            )
 
     def test_unknown_metric(self):
         with pytest.raises(ConfigurationError, match="unknown metric"):
@@ -45,8 +51,8 @@ class TestCreate:
 
     def test_kinds(self):
         registry = SketchRegistry()
-        fixed, _ = registry.create("f", kind="fixed", n=10_000)
-        adaptive, _ = registry.create("a", kind="adaptive")
+        fixed, _ = registry.create("f", MetricConfig(kind="fixed", n=10_000))
+        adaptive, _ = registry.create("a", MetricConfig(kind="adaptive"))
         assert isinstance(fixed.sketch, QuantileFramework)
         assert isinstance(adaptive.sketch, AdaptiveQuantileSketch)
 
@@ -59,7 +65,7 @@ class TestSharding:
     def test_entries_distributed(self):
         registry = SketchRegistry(n_shards=4)
         for i in range(40):
-            registry.create(f"ns/m{i}", kind="adaptive")
+            registry.create(f"ns/m{i}", MetricConfig(kind="adaptive"))
         shards = {registry.get(f"ns/m{i}").shard for i in range(40)}
         assert len(shards) > 1  # not everything on one shard
 
@@ -75,8 +81,8 @@ class TestBatchedApply:
         batched = SketchRegistry(n_shards=1)
         direct = SketchRegistry(n_shards=1)
         for reg in (batched, direct):
-            reg.create("a", kind=kind, epsilon=0.01, **n_kw)
-            reg.create("b", kind=kind, epsilon=0.01, **n_kw)
+            reg.create("a", MetricConfig(kind=kind, epsilon=0.01, **n_kw))
+            reg.create("b", MetricConfig(kind=kind, epsilon=0.01, **n_kw))
         for _ in range(5):
             for name in ("a", "b", "a"):
                 chunk = rng.normal(size=997)
@@ -96,7 +102,7 @@ class TestBatchedApply:
         many = SketchRegistry(n_shards=8)
         for reg in (one, many):
             for i in range(6):
-                reg.create(f"m{i}", kind="fixed", n=20_000)
+                reg.create(f"m{i}", MetricConfig(kind="fixed", n=20_000))
         for _ in range(4):
             for i in range(6):
                 one.enqueue(f"m{i}", rng_a.uniform(size=500))
@@ -111,13 +117,13 @@ class TestBatchedApply:
 class TestValidation:
     def test_rejects_non_finite(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive")
+        registry.create("m", MetricConfig(kind="adaptive"))
         with pytest.raises(ConfigurationError, match="finite"):
             registry.ingest("m", np.array([1.0, np.nan]))
 
     def test_rejects_multidimensional(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive")
+        registry.create("m", MetricConfig(kind="adaptive"))
         with pytest.raises(ConfigurationError):
             registry.ingest("m", np.ones((3, 3)))
 
@@ -126,7 +132,9 @@ class TestValidation:
     def test_create_rejects_epsilon_outside_unit_interval(self, engine, eps):
         registry = SketchRegistry()
         with pytest.raises(ConfigurationError, match="epsilon"):
-            registry.create("m", kind="fixed", epsilon=eps, engine=engine)
+            registry.create(
+                "m", MetricConfig(kind="fixed", epsilon=eps, engine=engine)
+            )
         assert "m" not in registry
         # nothing half-built: no bank row was taken by the failed CREATE
         assert all(len(s.fbank) == 0 for s in registry._shards)
@@ -137,20 +145,23 @@ class TestValidation:
         self, engine, eps
     ):
         donor = SketchRegistry()
-        donor.create("m", kind="fixed", epsilon=0.05, engine=engine)
+        donor.create(
+            "m", MetricConfig(kind="fixed", epsilon=0.05, engine=engine)
+        )
         donor.ingest("m", np.arange(100, dtype=float))
         payload = donor.fetch_serialized("m")
         registry = SketchRegistry()
         with pytest.raises(ConfigurationError, match="epsilon"):
             registry.install_serialized(
-                "m", kind="fixed", epsilon=eps, n=None, policy="new",
-                engine=engine, payload=payload,
+                "m",
+                MetricConfig(kind="fixed", epsilon=eps, engine=engine),
+                payload,
             )
         assert "m" not in registry
 
     def test_empty_batch_is_noop(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive")
+        registry.create("m", MetricConfig(kind="adaptive"))
         registry.ingest("m", np.empty(0))
         assert registry.get("m").count == 0
 
@@ -158,7 +169,9 @@ class TestValidation:
 class TestQueries:
     def test_quantiles_with_certified_bound(self):
         registry = SketchRegistry()
-        registry.create("m", kind="fixed", epsilon=0.05, n=10_000)
+        registry.create(
+            "m", MetricConfig(kind="fixed", epsilon=0.05, n=10_000)
+        )
         values = np.random.default_rng(0).permutation(10_000).astype(float)
         registry.ingest("m", values)
         (median,), bound, n = registry.quantiles("m", [0.5])
@@ -168,7 +181,7 @@ class TestQueries:
 
     def test_cdf(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive", epsilon=0.02)
+        registry.create("m", MetricConfig(kind="adaptive", epsilon=0.02))
         registry.ingest("m", np.arange(1000.0))
         rank, fraction, bound, n = registry.cdf("m", 500.0)
         assert n == 1000
@@ -176,7 +189,7 @@ class TestQueries:
 
     def test_query_empty_metric_raises(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive")
+        registry.create("m", MetricConfig(kind="adaptive"))
         with pytest.raises(EmptySummaryError):
             registry.quantiles("m", [0.5])
 
@@ -184,7 +197,7 @@ class TestQueries:
         from repro.core import serialize
 
         registry = SketchRegistry()
-        registry.create("m", kind="fixed", epsilon=0.02, n=5_000)
+        registry.create("m", MetricConfig(kind="fixed", epsilon=0.02, n=5_000))
         registry.ingest("m", np.random.default_rng(1).normal(size=5_000))
         fw = serialize.loads(registry.fetch_serialized("m"))
         v_reg, _, _ = registry.quantiles("m", PHIS)
@@ -192,7 +205,7 @@ class TestQueries:
 
     def test_fetch_adaptive_rejected(self):
         registry = SketchRegistry()
-        registry.create("m", kind="adaptive")
+        registry.create("m", MetricConfig(kind="adaptive"))
         with pytest.raises(ConfigurationError):
             registry.fetch_serialized("m")
 

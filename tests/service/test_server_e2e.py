@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.service import QuantileClient, ServerThread
+from repro.service.protocol import MetricConfig
 from repro.service.registry import SketchRegistry
 
 PHIS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
@@ -129,7 +130,9 @@ class TestConcurrentIngest:
         assert n == total
 
         offline = SketchRegistry(n_shards=1)
-        offline.create("load/m", kind="fixed", epsilon=0.02, n=total)
+        offline.create(
+            "load/m", MetricConfig(kind="fixed", epsilon=0.02, n=total)
+        )
         offline.ingest("load/m", data)
         _, offline_bound, offline_n = offline.quantiles("load/m", PHIS)
         # the certified bound depends only on the count-driven collapse
