@@ -429,6 +429,21 @@ class _Reader:
         self.pos = end
         return arr
 
+    def json_value(self, expected: type, what: str) -> Any:
+        """A u32-length-prefixed UTF-8 JSON document whose top level is
+        an *expected* (``dict`` or ``list``)."""
+        raw = bytes(self.take(self.u32(f"{what} size"), f"{what} json"))
+        try:
+            value = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError, RecursionError):
+            raise StorageError(f"{what} is not valid UTF-8 JSON") from None
+        if not isinstance(value, expected):
+            raise StorageError(
+                f"{what} must be a JSON {expected.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        return value
+
     def done(self, what: str) -> None:
         if self.pos != len(self.buf):
             raise StorageError(
@@ -804,8 +819,7 @@ def decode_response(opcode: int, payload: bytes) -> Dict[str, Any]:
     elif opcode == Opcode.DRAIN:
         body["seq"] = r.u64("seq")
     elif opcode == Opcode.STATS:
-        size = r.u32("stats size")
-        body["stats"] = json.loads(r.take(size, "stats json").decode("utf-8"))
+        body["stats"] = r.json_value(dict, "stats")
     elif opcode == Opcode.PING:
         body["node_id"] = r.string("node id")
         body["epoch"] = r.u64("cluster epoch")
@@ -817,10 +831,7 @@ def decode_response(opcode: int, payload: bytes) -> Dict[str, Any]:
     elif opcode == Opcode.UNWATCH:
         body["removed"] = bool(r.u8("removed flag"))
     elif opcode == Opcode.ALERTS:
-        size = r.u32("alerts size")
-        body["alerts"] = json.loads(
-            bytes(r.take(size, "alerts json")).decode("utf-8")
-        )
+        body["alerts"] = r.json_value(list, "alerts")
     else:
         raise ConfigurationError(f"unknown opcode {opcode}")
     r.done(f"{Opcode._NAMES.get(opcode, opcode)} response")

@@ -162,6 +162,78 @@ class TestResponses:
         }
 
 
+#: a valid STATS and a valid ALERTS response body
+JSON_RESPONSES = {
+    "stats": (
+        Opcode.STATS,
+        {"stats": {"shards": [{"id": 0, "n": 12}], "uptime_s": 1.5}},
+    ),
+    "alerts": (
+        Opcode.ALERTS,
+        {"alerts": [{"id": "r1", "state": "ok", "value": None}]},
+    ),
+}
+
+
+def json_response(doc: bytes) -> bytes:
+    """An OK response whose JSON document is the raw bytes *doc*."""
+    return bytes([0]) + struct.pack("<I", len(doc)) + doc
+
+
+@pytest.mark.parametrize("which", sorted(JSON_RESPONSES))
+class TestJsonResponses:
+    """STATS and ALERTS carry a JSON document; a hostile one decodes to
+    a ``StorageError``, never to another exception."""
+
+    def test_roundtrip_from_any_buffer(self, which):
+        opcode, body = JSON_RESPONSES[which]
+        raw = protocol.encode_ok(opcode, body)
+        for buf in (raw, bytearray(raw), memoryview(raw)):
+            assert protocol.decode_response(opcode, buf) == body
+
+    @pytest.mark.parametrize(
+        "doc",
+        [b"\xff\xfe", b"{", b"[1,]", b"nul", b"1", b'"text"', b"[" * 100_000],
+        ids=["utf8", "open", "comma", "word", "number", "string", "deep"],
+    )
+    def test_bad_document_is_storage_error(self, which, doc):
+        opcode, _body = JSON_RESPONSES[which]
+        with pytest.raises(StorageError):
+            protocol.decode_response(opcode, json_response(doc))
+
+    def test_wrong_top_level_type_is_storage_error(self, which):
+        opcode, _body = JSON_RESPONSES[which]
+        doc = b"[]" if which == "stats" else b"{}"
+        with pytest.raises(StorageError, match="must be a JSON"):
+            protocol.decode_response(opcode, json_response(doc))
+
+    def test_every_truncation_is_storage_error(self, which):
+        opcode, body = JSON_RESPONSES[which]
+        raw = protocol.encode_ok(opcode, body)
+        for cut in range(len(raw)):
+            with pytest.raises(StorageError):
+                protocol.decode_response(opcode, raw[:cut])
+
+    def test_every_single_byte_mutation_decodes_or_is_storage_error(
+        self, which
+    ):
+        opcode, body = JSON_RESPONSES[which]
+        raw = protocol.encode_ok(opcode, body)
+        for pos in range(len(raw)):
+            # only the status byte can turn the frame into an error frame
+            allowed = (StorageError, ConfigurationError)
+            if pos > 0:
+                allowed = StorageError
+            for value in range(256):
+                if value == raw[pos]:
+                    continue
+                mutated = raw[:pos] + bytes([value]) + raw[pos + 1 :]
+                try:
+                    protocol.decode_response(opcode, mutated)
+                except allowed:
+                    pass
+
+
 class TestSyncOpcodes:
     """SYNCPULL / RESTORE: the re-sync transfer wire format."""
 
