@@ -16,13 +16,9 @@ into table scans::
         sketcher.consume(chunk)
     boundaries = sketcher.histogram("price", 20)
 
-On the deterministic path every column's
-:class:`~repro.core.framework.QuantileFramework` is adopted into one
-:class:`~repro.core.bank.SketchBank`, so a chunk is ingested as one bank
-operation per column slice with no per-column Python dispatch beyond the
-slice itself; answers are bit-identical to feeding each
-:class:`QuantileSketch` separately.  The Section 5 sampling front-end
-(``delta``) composes per column exactly as before.
+Every column is its own :class:`QuantileSketch`, fed its slice of each
+chunk, so answers are exactly those of feeding the columns separately;
+the Section 5 sampling front-end (``delta``) composes per column.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core.bank import SketchBank
 from .core.errors import ConfigurationError, EmptySummaryError
 from .core.sketch import QuantileSketch
 from .histogram.equidepth import EquiDepthHistogram
@@ -54,6 +49,11 @@ class MultiColumnSketcher:
         Optional: allow the probabilistic sampling path per column.
     """
 
+    #: no :class:`~repro.core.bank.SketchBank` backs the columns: one
+    #: bank over adopted sketches ingested slower than this per-column
+    #: loop at 4 and 16 columns
+    _bank = None
+
     def __init__(
         self,
         columns: Sequence[str],
@@ -75,15 +75,6 @@ class MultiColumnSketcher:
             )
             for name in self.columns
         }
-        # Deterministic sketches route their ingest through one shared
-        # bank (sketch id == column index); the sampling front-end keeps
-        # its per-column path (the sampler owns the stream thinning).
-        self._bank: Optional[SketchBank] = None
-        if not any(sk.uses_sampling for sk in self._sketches.values()):
-            bank = SketchBank(epsilon, n=n, policy=policy)
-            for name in self.columns:
-                bank.adopt(self._sketches[name]._impl)
-            self._bank = bank
         self._minima: Dict[str, float] = {}
         self._maxima: Dict[str, float] = {}
         self._n_rows = 0
@@ -149,12 +140,9 @@ class MultiColumnSketcher:
         if not n_rows:
             return
         self._n_rows += n_rows
-        for j, name in enumerate(self.columns):
+        for name in self.columns:
             arr = arrays[name]
-            if self._bank is not None:
-                self._bank.extend_single(j, arr)
-            else:
-                self._sketches[name].extend(arr)
+            self._sketches[name].extend(arr)
             low = float(arr.min())
             high = float(arr.max())
             self._minima[name] = min(self._minima.get(name, low), low)
@@ -177,20 +165,7 @@ class MultiColumnSketcher:
     def all_quantiles(
         self, phis: Sequence[float]
     ) -> Dict[str, List[float]]:
-        """The same quantile fractions for every tracked column.
-
-        Each column answers every fraction off a single buffer snapshot
-        (Section 4.7) -- via :meth:`SketchBank.quantiles_all` on the
-        deterministic path.
-        """
-        if self._bank is not None:
-            per_sketch = self._bank.quantiles_all(phis)
-            out: Dict[str, List[float]] = {}
-            for name, answers in zip(self.columns, per_sketch):
-                if answers is None:
-                    raise EmptySummaryError("no elements have been ingested")
-                out[name] = [float(v) for v in answers]
-            return out
+        """The same quantile fractions for every tracked column."""
         return {name: self.quantiles(name, phis) for name in self.columns}
 
     def error_bounds(self) -> Dict[str, float]:
