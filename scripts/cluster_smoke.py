@@ -28,7 +28,10 @@ ISSUE-8 acceptance scenario end to end:
    status`` CLI exits non-zero;
 6. after re-sync, a joining node learns every metric's full
    configuration: windowed metrics created before the join are listed
-   with the same window and slide on every node.
+   with the same window and slide on every node;
+7. an adaptive metric -- the default kind of ``repro cluster client
+   create`` -- migrates through the join: its count, quantiles and
+   bound afterwards equal an offline sketch fed the same batches.
 
 Exit code 0 on success.
 
@@ -305,6 +308,36 @@ def main() -> int:
                 )
         counts_exact("after kill + re-sync")
 
+        # an adaptive metric, made by the CLI's default kind, rolls
+        # stages before the join; the join must move it exactly
+        adaptive = "cluster/adaptive"
+        created = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "cluster", "client",
+                "--manifest", coord.manifest_path,
+                "create", adaptive, "--epsilon", str(EPSILON),
+            ],
+            env=env, capture_output=True, text=True,
+        )
+        check(
+            created.returncode == 0 and created.stdout == "created\n",
+            "`repro cluster client create` without --n made a metric",
+        )
+        offline = SketchRegistry()
+        offline.create(
+            adaptive, MetricConfig(kind="adaptive", epsilon=EPSILON)
+        )
+        with coord.client() as cl:
+            for _ in range(3):
+                batch = rng.standard_normal(4 * BATCH)
+                cl.ingest(adaptive, batch)
+                offline.ingest(adaptive, batch)
+            cl.drain()
+            kinds = {
+                m["kind"] for m in cl.list_metrics() if m["name"] == adaptive
+            }
+        check(kinds == {"adaptive"}, f"{adaptive} is adaptive on every node")
+
         # windowed definitions must reach the joiner whole, whether it
         # owns them (a full-state install) or only learns them
         windowed = [f"cluster/windowed-{i}" for i in range(4)]
@@ -327,6 +360,16 @@ def main() -> int:
             ),
             f"every node's LIST reports window 60s / slide 30s for "
             f"{len(windowed)} windowed metrics after {joined} joined",
+        )
+        with coord.client() as cl:
+            answer = cl.query(adaptive, PHIS)
+            payloads = {p for _, p in cl.fetch_replicas(adaptive)}
+        check(
+            answer == offline.quantiles(adaptive, PHIS)
+            and payloads == {offline.fetch_serialized(adaptive)},
+            f"{adaptive}: n={answer[2]}, quantiles, certified bound and "
+            f"every replica's bytes after {joined} joined equal the "
+            f"offline sketch's",
         )
         ingest_more(2)
         counts_exact(f"after {joined} joined")

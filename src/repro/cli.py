@@ -663,9 +663,8 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
 def _cluster_kind(args: argparse.Namespace) -> str:
     """``cluster client create``'s kind when ``--kind`` is not given:
-    also fixed whenever ``--n`` is, because only fixed-N metrics
-    serialise, and serialisation is what the cluster's fan-in merge
-    rides on."""
+    also fixed whenever ``--n`` is, because only fixed-N metrics merge,
+    and merging is what the cluster's fan-in rides on."""
     return "fixed" if args.n is not None else _default_kind(args)
 
 

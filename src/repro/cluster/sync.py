@@ -445,20 +445,27 @@ class SyncDriver:
         while their manifest view was stale -- the tail records carry
         the donors' idempotency tokens, so the pass is exactly-once no
         matter how it interleaves with direct writes.  A node that does
-        not answer PING is refused before any manifest edit.
+        not answer PING is refused before any manifest edit; a sync that
+        fails before the flip puts the node's prior status back in one
+        more commit, then re-raises.
         """
         if not self._answers_ping(node_id):
             raise ClusterSyncError(
                 f"cannot re-sync {node_id}: the node is not running "
                 f"(it does not answer PING)"
             )
+        prior = self.manifest.node(node_id).status
         commit(lambda m: m.mark(node_id, "syncing"))
         ring = self.manifest.ring()
         live = set(self.manifest.live_ids())
         replication = self.manifest.replication
-        report = self.resync_node(
-            node_id, ring=ring, replication=replication, live=live
-        )
+        try:
+            report = self.resync_node(
+                node_id, ring=ring, replication=replication, live=live
+            )
+        except BaseException:
+            commit(lambda m: m.mark(node_id, prior))
+            raise
         commit(lambda m: m.mark(node_id, "up"))
         if closing_pass and report.synced:
             self.resync_node(
@@ -485,7 +492,9 @@ class SyncDriver:
         flips ``up`` once every transfer verifies bit-identical, and a
         closing pass absorbs writes from stale-manifest clients.  A
         node that does not answer PING is refused before any manifest
-        edit.  Returns the delta and every metric name considered.
+        edit; a migration that fails before the flip removes the node
+        again in one more commit, then re-raises.  Returns the delta and
+        every metric name considered.
         """
         self.endpoint_overrides.setdefault(spec.id, (spec.host, spec.port))
         if not self._answers_ping(spec.id):
@@ -501,19 +510,31 @@ class SyncDriver:
             manifest.nodes.append(spec)
             return True
 
+        def remove(manifest: ClusterManifest) -> bool:
+            manifest.nodes.remove(spec)
+            return True
+
         commit(append)
         ring_after = self.manifest.ring()
-        names = self.metric_names(sorted(live))
-        delta = ownership_delta(ring_before, ring_after, names, replication)
         moved: Set[str] = set()
-        for key, gainer in delta.transfers():
-            donor = delta_donor(key, gainer, ring_before, replication, live)
-            self.sync_metric(key, donor, gainer)
-            if gainer == spec.id:
-                moved.add(key)
-        for name in names:
-            if name not in moved and live:
-                self.define_metric(name, sorted(live)[0], spec.id)
+        try:
+            names = self.metric_names(sorted(live))
+            delta = ownership_delta(
+                ring_before, ring_after, names, replication
+            )
+            for key, gainer in delta.transfers():
+                donor = delta_donor(
+                    key, gainer, ring_before, replication, live
+                )
+                self.sync_metric(key, donor, gainer)
+                if gainer == spec.id:
+                    moved.add(key)
+            for name in names:
+                if name not in moved and live:
+                    self.define_metric(name, sorted(live)[0], spec.id)
+        except BaseException:
+            commit(remove)
+            raise
         commit(lambda m: m.mark(spec.id, "up"))
         if moved:
             self.resync_node(
@@ -536,9 +557,12 @@ class SyncDriver:
         the senior copy), removes it from the manifest, then -- if it
         is ``up`` and answers PING -- runs a closing pass from it so
         batches that stale-manifest clients routed there are not
-        stranded in its journal.  Refused when the remaining nodes
-        could not hold ``replication`` copies.  Returns the delta and
-        every metric name considered.
+        stranded in its journal.  Names and donors come only from
+        ``up`` nodes that answer PING, so a dead node that is still
+        ``up`` can be removed.  Refused when the remaining nodes could
+        not hold ``replication`` copies, or -- before any transfer --
+        when some moved key has no live replica left.  Returns the delta
+        and every metric name considered.
         """
         spec = self.manifest.node(node_id)  # raises on unknown id
         replication = self.manifest.replication
@@ -553,16 +577,19 @@ class SyncDriver:
             [s.id for s in self.manifest.nodes if s.id != node_id],
             vnodes=self.manifest.vnodes,
         )
-        live = set(self.manifest.live_ids())
-        names = self.metric_names(sorted(live)) if live else []
+        # the PING caches the leaving node's connection: its manifest
+        # entry disappears below, but the closing pass still drains it
+        live = {n for n in self.manifest.live_ids() if self._answers_ping(n)}
+        names = self.metric_names(sorted(live))
         delta = ownership_delta(ring_before, ring_after, names, replication)
         transfers = delta.transfers()
-        for key, gainer in transfers:
-            donor = delta_donor(key, gainer, ring_before, replication, live)
+        donors = [
+            delta_donor(key, gainer, ring_before, replication, live)
+            for key, gainer in transfers
+        ]
+        for (key, gainer), donor in zip(transfers, donors):
             self.sync_metric(key, donor, gainer)
-        # the check caches the leaving node's connection: its manifest
-        # entry disappears below, but the closing pass still drains it
-        draining = spec.status == "up" and self._answers_ping(node_id)
+        draining = node_id in live
 
         def drop(manifest: ClusterManifest) -> bool:
             manifest.nodes.remove(spec)

@@ -7,16 +7,22 @@ checkable :class:`~repro.core.protocols.SketchProtocol`:
 engine     guarantee                   mergeable    wire magic
 =========  ==========================  ===========  ==========
 paper      deterministic (Lemma 5)     yes          MRLSKT01
+paper      adaptive: unknown N         no           ADPSKT01
 kll        probabilistic (Hoeffding)   yes          KLLSKT01
 frugal     heuristic (no bound)        no           FRGSKT01
 windowed   inherits its inner engine   yes          WINSKT01
 expdecay   inherits its inner engine   yes          EXDSKT01
 =========  ==========================  ===========  ==========
 
-``windowed`` and ``expdecay`` (:mod:`repro.windows`) are *composite*
-engines: a ring of buckets, each itself a paper/kll/frugal sketch.
-They carry their inner engine in their own wire format, so the usual
-magic dispatch and same-engine merge rules apply to them unchanged.
+The paper engine has two formats: ``MRLSKT01`` for a fixed-N
+framework and ``ADPSKT01`` for an
+:class:`~repro.core.adaptive.AdaptiveQuantileSketch`.  Both read as
+engine ``"paper"``; :data:`ENGINES` holds the fixed-N spec, and only
+the magic table knows the adaptive one.  ``windowed`` and
+``expdecay`` (:mod:`repro.windows`) are *composite* engines: a ring of
+buckets, each itself a paper/kll/frugal sketch.  They carry their
+inner engine in their own wire format, so the usual magic dispatch and
+same-engine merge rules apply to them unchanged.
 
 Every engine's serialised form starts with its 8-byte magic, so a
 payload is self-describing: :func:`engine_of` reads the tag,
@@ -35,7 +41,12 @@ from __future__ import annotations
 
 from typing import Any, BinaryIO, Callable, Dict, NamedTuple, Tuple
 
+from . import serialize
+from .adaptive import ADAPTIVE_MAGIC, AdaptiveQuantileSketch
 from .errors import ConfigurationError, StorageError
+from .framework import QuantileFramework
+from .frugal import FRUGAL_MAGIC, FrugalBank, FrugalSketch
+from .kll import KLL_MAGIC, KLLSketch
 
 __all__ = [
     "EngineSpec",
@@ -44,6 +55,7 @@ __all__ = [
     "DEFAULT_ENGINE",
     "engine_of",
     "engine_of_sketch",
+    "spec_of",
     "loads_any",
     "load_any_from",
     "dumps_any",
@@ -67,8 +79,6 @@ class EngineSpec(NamedTuple):
 
 
 def _paper_spec() -> EngineSpec:
-    from . import serialize
-
     return EngineSpec(
         name="paper",
         magic=b"MRLSKT01",
@@ -81,8 +91,6 @@ def _paper_spec() -> EngineSpec:
 
 
 def _kll_spec() -> EngineSpec:
-    from .kll import KLL_MAGIC, KLLSketch
-
     return EngineSpec(
         name="kll",
         magic=KLL_MAGIC,
@@ -95,8 +103,6 @@ def _kll_spec() -> EngineSpec:
 
 
 def _frugal_spec() -> EngineSpec:
-    from .frugal import FRUGAL_MAGIC, FrugalSketch
-
     return EngineSpec(
         name="frugal",
         magic=FRUGAL_MAGIC,
@@ -108,48 +114,33 @@ def _frugal_spec() -> EngineSpec:
     )
 
 
-def _windowed_spec() -> EngineSpec:
-    # repro.windows imports core; resolve it lazily at call time so the
-    # registry can be built while the core package is still importing
-    def _loads(raw: bytes) -> Any:
-        from ..windows import WindowedSketch
-
-        return WindowedSketch.from_bytes(raw)
-
-    def _read_from(fh: BinaryIO) -> Any:
-        from ..windows import WindowedSketch
-
-        return WindowedSketch.read_from(fh)
-
+def _adaptive_spec() -> EngineSpec:
     return EngineSpec(
-        name="windowed",
-        magic=b"WINSKT01",
-        mergeable=True,
+        name="paper",
+        magic=ADAPTIVE_MAGIC,
+        mergeable=False,
         certified=True,
-        loads=_loads,
-        read_from=_read_from,
+        loads=AdaptiveQuantileSketch.from_bytes,
+        read_from=AdaptiveQuantileSketch.read_from,
         dumps=lambda sk: sk.to_bytes(),
     )
 
 
-def _expdecay_spec() -> EngineSpec:
-    def _loads(raw: bytes) -> Any:
-        from ..windows import ExpDecaySketch
+def _ring_spec(name: str, magic: bytes, cls_name: str) -> EngineSpec:
+    # repro.windows imports core; resolve the ring class lazily at call
+    # time so the registry can be built while core is still importing
+    def ring() -> Any:
+        from .. import windows
 
-        return ExpDecaySketch.from_bytes(raw)
-
-    def _read_from(fh: BinaryIO) -> Any:
-        from ..windows import ExpDecaySketch
-
-        return ExpDecaySketch.read_from(fh)
+        return getattr(windows, cls_name)
 
     return EngineSpec(
-        name="expdecay",
-        magic=b"EXDSKT01",
+        name=name,
+        magic=magic,
         mergeable=True,
         certified=True,
-        loads=_loads,
-        read_from=_read_from,
+        loads=lambda raw: ring().from_bytes(raw),
+        read_from=lambda fh: ring().read_from(fh),
         dumps=lambda sk: sk.to_bytes(),
     )
 
@@ -161,15 +152,17 @@ ENGINES: Dict[str, EngineSpec] = {
         _paper_spec(),
         _kll_spec(),
         _frugal_spec(),
-        _windowed_spec(),
-        _expdecay_spec(),
+        _ring_spec("windowed", b"WINSKT01", "WindowedSketch"),
+        _ring_spec("expdecay", b"EXDSKT01", "ExpDecaySketch"),
     )
 }
 
 ENGINE_NAMES: Tuple[str, ...] = tuple(ENGINES)
 
+_ADAPTIVE = _adaptive_spec()
+
 _BY_MAGIC: Dict[bytes, EngineSpec] = {
-    spec.magic: spec for spec in ENGINES.values()
+    spec.magic: spec for spec in (*ENGINES.values(), _ADAPTIVE)
 }
 
 
@@ -183,41 +176,44 @@ def get_engine(name: str) -> EngineSpec:
     return spec
 
 
-def engine_of(payload: "bytes | bytearray | memoryview") -> str:
-    """Engine name a serialised summary belongs to (peeks the magic tag)."""
+def spec_of(payload: "bytes | bytearray | memoryview") -> EngineSpec:
+    """The spec whose format a serialised summary is (peeks the magic)."""
     head = bytes(payload[:8])
     spec = _BY_MAGIC.get(head)
     if spec is None:
         raise StorageError(
             f"bad magic {head!r}: not a serialised sketch of any known engine"
         )
-    return spec.name
+    return spec
+
+
+def engine_of(payload: "bytes | bytearray | memoryview") -> str:
+    """Engine name a serialised summary belongs to (peeks the magic tag)."""
+    return spec_of(payload).name
 
 
 def engine_of_sketch(sketch: Any) -> str:
     """Engine name of a live sketch object."""
-    from .framework import QuantileFramework
-    from .frugal import FrugalBank, FrugalSketch
-    from .kll import KLLSketch
-    from ..windows import ExpDecaySketch, WindowedSketch
-
-    if isinstance(sketch, WindowedSketch):
-        return "windowed"
-    if isinstance(sketch, ExpDecaySketch):
-        return "expdecay"
     if isinstance(sketch, (FrugalSketch, FrugalBank)):
         return "frugal"
     if isinstance(sketch, KLLSketch):
         return "kll"
     if isinstance(sketch, QuantileFramework):
         return "paper"
+    # imported last: a process that holds no ring never loads it
+    from ..windows import ExpDecaySketch, WindowedSketch
+
+    if isinstance(sketch, WindowedSketch):
+        return "windowed"
+    if isinstance(sketch, ExpDecaySketch):
+        return "expdecay"
     # sketch/adaptive wrappers around the paper framework
     return "paper"
 
 
 def loads_any(raw: bytes) -> Any:
     """Deserialise a summary of any engine (dispatch on the magic tag)."""
-    return ENGINES[engine_of(raw)].loads(raw)
+    return spec_of(raw).loads(raw)
 
 
 def load_any_from(fh: BinaryIO) -> Any:
@@ -231,11 +227,7 @@ def load_any_from(fh: BinaryIO) -> Any:
     head = fh.read(8)
     if len(head) < 8:
         raise StorageError("truncated sketch: no engine magic")
-    spec = _BY_MAGIC.get(head)
-    if spec is None:
-        raise StorageError(
-            f"bad magic {head!r}: not a serialised sketch of any known engine"
-        )
+    spec = spec_of(head)
 
     class _Rejoined(io.RawIOBase):
         def __init__(self) -> None:
@@ -262,12 +254,13 @@ def dumps_any(sketch: Any) -> bytes:
     Paper-engine wrappers (:class:`~repro.core.sketch.QuantileSketch`)
     serialise their inner framework -- the wire format only carries
     summary state, so the round-trip comes back as the framework, same
-    as :func:`repro.core.serialize.dumps`.
+    as :func:`repro.core.serialize.dumps`.  An adaptive sketch
+    serialises to ``ADPSKT01``.
     """
+    if isinstance(sketch, AdaptiveQuantileSketch):
+        return _ADAPTIVE.dumps(sketch)
     name = engine_of_sketch(sketch)
     if name == "paper":
-        from .framework import QuantileFramework
-
         inner = getattr(sketch, "_impl", None)
         if not isinstance(sketch, QuantileFramework) and isinstance(
             inner, QuantileFramework

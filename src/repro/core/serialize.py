@@ -24,8 +24,9 @@ identically to ``fw`` and reports the same certified error bound.
 from __future__ import annotations
 
 import io
+import json
 import struct
-from typing import BinaryIO, Iterable
+from typing import Any, BinaryIO, Iterable
 
 import numpy as np
 
@@ -51,6 +52,13 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sHIIBBBxQQQIQdd")
 # weight, level, n_low_pad, n_high_pad
 _BUFFER_HEADER = struct.Struct("<QiII")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+
+#: largest single ``read`` :func:`_read_exact` issues
+_READ_CHUNK = 1 << 20
 
 _POLICY_IDS = {"new": 0, "munro-paterson": 1, "alsabti-ranka-singh": 2}
 _POLICY_NAMES = {v: k for k, v in _POLICY_IDS.items()}
@@ -121,12 +129,14 @@ def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
 
     Plain files return everything in one ``read`` call, but sockets and
     pipes may return any non-empty prefix; both are handled here so the
-    same reader serves :func:`load` and :func:`load_from`.
+    same reader serves :func:`load` and :func:`load_from`.  Each call
+    asks for at most :data:`_READ_CHUNK` bytes, so a hostile length
+    costs memory on the order of the bytes that are really there.
     """
     chunks = []
     remaining = size
     while remaining:
-        piece = fh.read(remaining)
+        piece = fh.read(min(remaining, _READ_CHUNK))
         if not piece:
             raise StorageError(
                 f"truncated sketch: expected {size} bytes of {what}"
@@ -136,6 +146,112 @@ def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
     if len(chunks) == 1:
         return chunks[0]
     return b"".join(chunks)
+
+
+class _Reader:
+    """Cursor over one encoded record with bounds-checked reads: the
+    reader of wire frames, journal records, snapshots and the adaptive
+    sketch payload, raising only :class:`StorageError` on short input.
+
+    Accepts any C-contiguous buffer (``bytes``, ``bytearray``,
+    ``memoryview``); slices it returns are views of the same type, so a
+    caller holding a zero-copy receive buffer never pays a copy here.
+    """
+
+    __slots__ = ("buf", "pos")
+
+    def __init__(self, buf: "bytes | bytearray | memoryview") -> None:
+        self.buf = buf
+        self.pos = 0
+
+    def take(self, size: int, what: str) -> "bytes | bytearray | memoryview":
+        end = self.pos + size
+        if end > len(self.buf):
+            raise StorageError(
+                f"truncated record: expected {size} bytes of {what}"
+            )
+        raw = self.buf[self.pos : end]
+        self.pos = end
+        return raw
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def u16(self, what: str) -> int:
+        return _U16.unpack(self.take(2, what))[0]
+
+    def u32(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
+
+    def u64(self, what: str) -> int:
+        return _U64.unpack(self.take(8, what))[0]
+
+    def f64(self, what: str) -> float:
+        return _F64.unpack(self.take(8, what))[0]
+
+    def string(self, what: str) -> str:
+        n = self.u16(what)
+        try:
+            return bytes(self.take(n, what)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise StorageError(f"{what} is not valid UTF-8") from None
+
+    def f64_array(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(8 * count, what), dtype="<f8").copy()
+
+    def f64_array_view(self, count: int, what: str) -> np.ndarray:
+        """Like :meth:`f64_array` but zero-copy: a read-only view into the
+        frame buffer.  The returned array keeps the *whole* buffer alive
+        -- for the server, an entire socket read -- so its lifetime is a
+        memory cost, not just a validity question: hold it only until
+        the batch is applied, and copy anything kept longer."""
+        size = 8 * count
+        end = self.pos + size
+        if end > len(self.buf):
+            raise StorageError(
+                f"truncated record: expected {size} bytes of {what}"
+            )
+        arr = np.frombuffer(
+            self.buf, dtype="<f8", count=count, offset=self.pos
+        )
+        self.pos = end
+        return arr
+
+    def json_value(self, expected: type, what: str) -> Any:
+        """A u32-length-prefixed UTF-8 JSON document whose top level is
+        an *expected* (``dict`` or ``list``)."""
+        raw = bytes(self.take(self.u32(f"{what} size"), f"{what} json"))
+        try:
+            value = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError, RecursionError):
+            raise StorageError(f"{what} is not valid UTF-8 JSON") from None
+        if not isinstance(value, expected):
+            raise StorageError(
+                f"{what} must be a JSON {expected.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        return value
+
+    def done(self, what: str) -> None:
+        if self.pos != len(self.buf):
+            raise StorageError(
+                f"malformed {what}: {len(self.buf) - self.pos} trailing bytes"
+            )
+
+
+class _StreamReader(_Reader):
+    """A :class:`_Reader` that pulls each field off a file object as it
+    is read (sockets and pipes included), for self-delimiting formats."""
+
+    __slots__ = ("fh",)
+
+    def __init__(self, fh: BinaryIO) -> None:
+        super().__init__(b"")
+        self.fh = fh
+
+    def take(self, size: int, what: str) -> bytes:
+        self.pos += size
+        return _read_exact(self.fh, size, what)
 
 
 def load(fh: BinaryIO) -> QuantileFramework:
@@ -242,36 +358,33 @@ def merge_serialized(payloads: "Iterable[bytes]"):
     Engine handling: the payloads' magic tags must all name the *same*
     engine -- mixing raises a typed
     :class:`~repro.core.errors.EngineMismatchError` rather than
-    attempting a garbled fold.  A non-mergeable engine (frugal) accepts
-    exactly one payload (a plain load); two or more raise
+    attempting a garbled fold.  A non-mergeable format (frugal, adaptive
+    paper) accepts exactly one payload (a plain load); two or more raise
     :class:`ConfigurationError`.  Same-engine merges are deterministic:
     payloads fold in iteration order, so every coordinator produces
     byte-identical results.
     """
-    from .engines import ENGINES, engine_of
+    from .engines import spec_of
     from .errors import EngineMismatchError
 
     merged = None
-    spec = None
+    first = None
     for raw in payloads:
-        name = engine_of(raw)
-        if spec is None:
-            spec = ENGINES[name]
-        elif name != spec.name:
+        spec = spec_of(raw)
+        if first is None:
+            first, merged = spec, spec.loads(raw)
+            continue
+        if spec.name != first.name:
             raise EngineMismatchError(
                 f"cannot merge summaries from different engines: "
-                f"{spec.name!r} vs {name!r}"
+                f"{first.name!r} vs {spec.name!r}"
             )
-        sk = spec.loads(raw)
-        if merged is None:
-            merged = sk
-        else:
-            if not spec.mergeable:
-                raise ConfigurationError(
-                    f"{spec.name!r} summaries are not mergeable; "
-                    "fetch and query them individually"
-                )
-            merged.absorb(sk)
+        if not (first.mergeable and spec.mergeable):
+            raise ConfigurationError(
+                f"{first.name!r} summaries in {first.magic.decode()} are "
+                "not mergeable; fetch and query them individually"
+            )
+        merged.absorb(spec.loads(raw))
     if merged is None:
         raise ConfigurationError("merge_serialized needs at least one payload")
     return merged

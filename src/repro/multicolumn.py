@@ -99,10 +99,10 @@ class MultiColumnSketcher:
                 f"chunk has {matrix.shape[1]} columns, sketcher tracks "
                 f"{len(self.columns)}: {self.columns}"
             )
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return {
-            name: matrix[:, j] for j, name in enumerate(self.columns)
-        }
+        # one transposed copy per chunk: each column's sketch then reads
+        # a contiguous row instead of a strided matrix[:, j] view
+        columns = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64).T)
+        return dict(zip(self.columns, columns))
 
     def consume(self, chunk: "Mapping[str, Any] | np.ndarray | Any") -> None:
         """Feed one scan chunk.

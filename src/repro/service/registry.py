@@ -41,7 +41,7 @@ from ..core.framework import QuantileFramework
 from ..core.frugal import DEFAULT_BANK_PHIS, FrugalBank, FrugalSketch
 from ..core.kll import KLLSketch
 from ..core.parameters import optimal_parameters
-from ..core import serialize
+from ..core.policies import make_policy
 from .protocol import MetricConfig
 
 __all__ = [
@@ -605,60 +605,46 @@ class SketchRegistry:
         kilobytes each).  Returns ``True`` when an existing metric was
         replaced, ``False`` when the name was new here.
 
-        The payload's magic must agree with ``config.engine`` -- a donor
-        whose config and bytes disagree is corrupt and must not be
-        installed.  The window or decay comes from the payload, which is
-        self-describing.  Adaptive paper metrics have no exchange format
-        and are refused, same as :meth:`fetch_serialized`.
+        The payload must be a sketch of the metric *config* declares --
+        same engine and kind and, for an adaptive one, the same epsilon
+        and policy -- or the donor is corrupt and nothing is installed.
+        The window or decay comes from the payload, which is
+        self-describing.
         """
-        from ..core.engines import engine_of
+        from ..core.engines import engine_of_sketch, loads_any
 
         if not name or "\n" in name:
             raise ConfigurationError(f"invalid metric name {name!r}")
-        engine = config.engine
-        if config.kind != "fixed":
-            raise ConfigurationError(
-                f"metric {name!r} is adaptive; only fixed-N metrics "
-                "have an exchange format to restore from"
-            )
-        actual = engine_of(payload)
+        sketch = loads_any(payload)
+        actual = engine_of_sketch(sketch)
+        kind = "fixed"
         timing = {"window_s": 0.0, "slide_s": 0.0, "decay_s": 0.0}
-        sketch: Sketch
         if actual in ("windowed", "expdecay"):
-            # windowed payloads are self-describing: the ring carries its
-            # inner engine and window/decay config, so the RESTORE wire
-            # (which has neither) stays unchanged.  The *declared* engine
-            # must still match the ring's inner engine.
-            from ..core.engines import loads_any
-            from ..windows import ExpDecaySketch, WindowedSketch
-
-            loaded = loads_any(payload)
-            if loaded.engine != engine:
-                raise ConfigurationError(
-                    f"restore of {name!r} declares engine {engine!r} but "
-                    f"the {actual} payload's buckets are "
-                    f"{loaded.engine!r}; refusing a corrupt install"
-                )
-            loaded._clock = self.clock
-            if isinstance(loaded, WindowedSketch):
-                timing.update(
-                    window_s=loaded.window_s, slide_s=loaded.slide_s
-                )
+            # the ring carries its inner engine and window/decay config,
+            # so the RESTORE wire (which has neither) stays unchanged
+            if actual == "windowed":
+                timing.update(window_s=sketch.window_s, slide_s=sketch.slide_s)
             else:
-                assert isinstance(loaded, ExpDecaySketch)
-                timing.update(decay_s=loaded.half_life_s)
-            sketch = loaded
-        elif actual != engine:
+                timing.update(decay_s=sketch.half_life_s)
+            sketch._clock = self.clock
+            actual = sketch.engine
+        elif isinstance(sketch, AdaptiveQuantileSketch):
+            kind = "adaptive"
+            if (sketch.epsilon, sketch.policy) != (
+                config.epsilon, make_policy(config.policy).name
+            ):
+                raise ConfigurationError(
+                    f"restore of {name!r} declares epsilon "
+                    f"{config.epsilon} and policy {config.policy!r} but the "
+                    f"payload has {sketch.epsilon} and {sketch.policy!r}; "
+                    "refusing a corrupt install"
+                )
+        if (actual, kind) != (config.engine, config.kind):
             raise ConfigurationError(
-                f"restore of {name!r} declares engine {engine!r} but the "
-                f"payload is {actual!r}; refusing a corrupt install"
+                f"restore of {name!r} declares {config.kind} "
+                f"{config.engine!r} but the payload is {kind} {actual!r}; "
+                "refusing a corrupt install"
             )
-        elif engine == "kll":
-            sketch = KLLSketch.from_bytes(payload)
-        elif engine == "frugal":
-            sketch = FrugalSketch.from_bytes(payload)
-        else:
-            sketch = serialize.loads(payload)
         config = replace(config, **timing)
         replaced = self._metrics.pop(name, None) is not None
         self._register(name, config, sketch)
@@ -855,27 +841,11 @@ class SketchRegistry:
         shipping half of §4.9 fan-in -- collect payloads from several
         servers and fold them with
         :func:`repro.core.serialize.merge_serialized` (mergeable engines
-        only; frugal payloads load and query individually).  Adaptive
-        paper metrics still refuse (their staged multi-sketch state has
-        no exchange format).
+        only; frugal and adaptive payloads load and query individually).
         """
-        entry = self.get(name)
-        if entry.windowed:
-            # the ring's own format (WINSKT01/EXDSKT01): self-describing,
-            # mergeable bucket-by-bucket via merge_serialized
-            return entry.sketch.to_bytes()
-        if entry.config.engine == "kll":
-            assert isinstance(entry.sketch, KLLSketch)
-            return entry.sketch.to_bytes()
-        if entry.config.engine == "frugal":
-            assert isinstance(entry.sketch, FrugalSketch)
-            return entry.sketch.to_bytes()
-        if not isinstance(entry.sketch, QuantileFramework):
-            raise ConfigurationError(
-                f"metric {name!r} is adaptive; only fixed-N metrics "
-                "serialise to the exchange format"
-            )
-        return serialize.dumps(entry.sketch)
+        from ..core.engines import dumps_any
+
+        return dumps_any(self.get(name).sketch)
 
     # -- introspection -----------------------------------------------------
 

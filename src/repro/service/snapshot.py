@@ -1,13 +1,13 @@
 """Atomic registry snapshots.
 
 A snapshot captures every metric's *exact* sketch state at one journal
-sequence number.  Fixed-N metrics embed their framework in the existing
-:mod:`repro.core.serialize` wire format verbatim (the round-trip
-guarantee there -- identical answers, identical certified bounds, and
-identical behaviour under further ingest -- is what makes recovery
-bit-identical).  Adaptive metrics add a thin stage container: each
-closed stage's surviving buffers and Lemma 5 statistics, the live stage
-again in the core wire format, plus the roll-schedule counters.
+sequence number.  Every metric except an adaptive one embeds its
+engine's wire payload verbatim (:func:`repro.core.engines.dumps_any`;
+the round-trip guarantee there -- identical answers, identical
+certified bounds, and identical behaviour under further ingest -- is
+what makes recovery bit-identical).  An adaptive metric stores the
+stage container of its ``ADPSKT01`` payload: the same bytes without
+the magic and epsilon, which its config block already carries.
 
 File layout (little-endian)::
 
@@ -17,20 +17,9 @@ File layout (little-endian)::
         name (u16 len + utf8) | config block, full placement (head,
         engine byte and window block; docs/formats.md, "Metric config
         block")
-        windowed (wmode != 0):
-                  u32 len | ring wire payload (WINSKT01/EXDSKT01)
-        paper fixed:  u32 len | core-serialize payload
-        paper adaptive:
-                  u64 initial_capacity | u64 capacity | u64 active_n
-                  | u32 n_closed
-                  per closed stage:
-                      u64 n | u64 n_collapses | u64 sum_collapse_weights
-                      | u32 n_buffers
-                      per buffer: u64 weight | i32 level | u32 n_low_pad
-                                  | u32 n_high_pad | u32 n_values
-                                  | n_values * f64
-                  u32 len | core-serialize payload (live stage)
-        kll/frugal:   u32 len | engine wire payload (KLLSKT01/FRGSKT01)
+        paper adaptive: stage container (docs/formats.md, "ADPSKT01")
+        every other:    u32 len | engine wire payload (MRLSKT01,
+                        KLLSKT01, FRGSKT01, WINSKT01 or EXDSKT01)
     rules:
         u32 n_rules
         per rule: rule_id (u16 len + utf8) | metric (u16 len + utf8)
@@ -57,17 +46,10 @@ import io
 import os
 import struct
 import zlib
-from typing import BinaryIO, List, Optional
+from typing import BinaryIO, Optional
 
-import numpy as np
-
-from ..core import serialize
-from ..core.adaptive import AdaptiveQuantileSketch, _ClosedStage
-from ..core.buffer import Buffer
+from ..core.adaptive import AdaptiveQuantileSketch
 from ..core.errors import StorageError
-from ..core.framework import QuantileFramework
-from ..core.frugal import FrugalSketch
-from ..core.kll import KLLSketch
 from .protocol import (
     CONFIG_FULL,
     _RULE_OP_NAMES,
@@ -86,47 +68,9 @@ _MAGIC = b"MRLSNAP1"
 SNAPSHOT_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHIQ")
-_STAGE_HEADER = struct.Struct("<QQQI")
-_BUFFER_HEADER = struct.Struct("<QiIII")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-
-
-def _dump_framework(fw: QuantileFramework) -> bytes:
-    payload = serialize.dumps(fw)
-    return _U32.pack(len(payload)) + payload
-
-
-def _dump_adaptive(sk: AdaptiveQuantileSketch) -> bytes:
-    out = io.BytesIO()
-    out.write(_U64.pack(sk.initial_capacity))
-    out.write(_U64.pack(sk._capacity))
-    out.write(_U64.pack(sk._active_n))
-    out.write(_U32.pack(len(sk._closed)))
-    for stage in sk._closed:
-        out.write(
-            _STAGE_HEADER.pack(
-                stage.n,
-                stage.n_collapses,
-                stage.sum_collapse_weights,
-                len(stage.buffers),
-            )
-        )
-        for buf in stage.buffers:
-            values = np.ascontiguousarray(buf.values, dtype="<f8")
-            out.write(
-                _BUFFER_HEADER.pack(
-                    buf.weight,
-                    buf.level,
-                    buf.n_low_pad,
-                    buf.n_high_pad,
-                    values.size,
-                )
-            )
-            out.write(values.tobytes())
-    out.write(_dump_framework(sk._active))
-    return out.getvalue()
 
 
 #: the staging buffer spills to the file once it holds this much; big
@@ -178,19 +122,19 @@ def _write_image(
 ) -> int:
     """Stream the snapshot image into *fh*; returns the bytes written."""
     entries = registry.entries()
+    if entries:  # an idle server, holding no metric, never loads the codec
+        from ..core.engines import dumps_any
     body = _CrcSpill(fh)
     body.write(_HEADER.pack(_MAGIC, SNAPSHOT_VERSION, 0, len(entries), seq))
     for entry in entries:
         body.write(_pack_str(entry.name))
         body.write(pack_config(entry.config, CONFIG_FULL))
-        if entry.windowed or entry.config.engine in ("kll", "frugal"):
-            payload = entry.sketch.to_bytes()
+        if isinstance(entry.sketch, AdaptiveQuantileSketch):
+            entry.sketch.write_stages(body)
+        else:
+            payload = dumps_any(entry.sketch)
             body.write(_U32.pack(len(payload)))
             body.write(payload)
-        elif isinstance(entry.sketch, QuantileFramework):
-            body.write(_dump_framework(entry.sketch))
-        else:
-            body.write(_dump_adaptive(entry.sketch))
         body.spill()
     rule_list = rules.rules() if rules is not None else []
     body.write(_U32.pack(len(rule_list)))
@@ -250,62 +194,6 @@ def write_snapshot(
     return nbytes
 
 
-def _unpack(r: _Reader, st: struct.Struct, what: str) -> tuple:
-    return st.unpack(r.take(st.size, what))
-
-
-def _load_payload(r: _Reader, what: str) -> bytes:
-    return r.take(r.u32(f"{what} size"), what)
-
-
-def _load_adaptive(
-    r: _Reader, epsilon: float, policy: str
-) -> AdaptiveQuantileSketch:
-    initial_capacity = r.u64("initial capacity")
-    capacity = r.u64("capacity")
-    active_n = r.u64("active n")
-    n_closed = r.u32("closed stage count")
-    closed: List[_ClosedStage] = []
-    for _ in range(n_closed):
-        n, n_collapses, sum_weights, n_buffers = _unpack(
-            r, _STAGE_HEADER, "stage header"
-        )
-        buffers = []
-        for _ in range(n_buffers):
-            weight, level, n_low, n_high, n_values = _unpack(
-                r, _BUFFER_HEADER, "stage buffer header"
-            )
-            values = np.frombuffer(
-                r.take(8 * n_values, "stage buffer values"), dtype="<f8"
-            ).copy()
-            if n_low + n_high > n_values:
-                raise StorageError(
-                    "corrupt snapshot: pad counts exceed buffer size"
-                )
-            buffers.append(
-                Buffer(
-                    values=values,
-                    weight=weight,
-                    level=level,
-                    n_low_pad=n_low,
-                    n_high_pad=n_high,
-                )
-            )
-        closed.append(
-            _ClosedStage.from_state(buffers, n, n_collapses, sum_weights)
-        )
-    active = serialize.loads(_load_payload(r, "active stage payload"))
-    return AdaptiveQuantileSketch._restore(
-        epsilon=epsilon,
-        initial_capacity=initial_capacity,
-        policy=policy,
-        closed=closed,
-        capacity=capacity,
-        active=active,
-        active_n=active_n,
-    )
-
-
 def read_snapshot(
     path: str,
     registry: SketchRegistry,
@@ -327,7 +215,9 @@ def read_snapshot(
     if (zlib.crc32(raw[:-4]) & 0xFFFFFFFF) != crc_stored:
         raise StorageError(f"{path}: snapshot CRC mismatch")
     r = _Reader(raw[:-4])
-    magic, version, _pad, n_metrics, seq = _unpack(r, _HEADER, "header")
+    magic, version, _pad, n_metrics, seq = _HEADER.unpack(
+        r.take(_HEADER.size, "header")
+    )
     if magic != _MAGIC:
         raise StorageError(f"{path}: bad magic {magic!r}: not a snapshot")
     if version != SNAPSHOT_VERSION:
@@ -335,24 +225,15 @@ def read_snapshot(
             f"{path}: unsupported snapshot version {version} (this build "
             f"reads version {SNAPSHOT_VERSION} only)"
         )
+    if n_metrics:
+        from ..core.engines import loads_any
     for _ in range(n_metrics):
         name = r.string("metric name")
         config = read_config(r, CONFIG_FULL)
-        sketch: object
-        if config.windowed:
-            from ..core.engines import loads_any
-
-            sketch = loads_any(_load_payload(r, "ring payload"))
-        elif config.engine == "kll":
-            sketch = KLLSketch.from_bytes(_load_payload(r, "kll payload"))
-        elif config.engine == "frugal":
-            sketch = FrugalSketch.from_bytes(
-                _load_payload(r, "frugal payload")
-            )
-        elif config.kind == "fixed":
-            sketch = serialize.loads(_load_payload(r, "framework payload"))
+        if config.kind == "adaptive":
+            sketch = AdaptiveQuantileSketch.read_stages(r, config.epsilon)
         else:
-            sketch = _load_adaptive(r, config.epsilon, config.policy)
+            sketch = loads_any(r.take(r.u32("payload size"), "payload"))
         registry.register_restored(name, config, sketch)
     for _ in range(r.u32("rule count")):
         rule_id = r.string("rule id")

@@ -94,15 +94,13 @@ def assert_state_bit_identical(registry, reference):
     reference.apply_all()
     assert registry.names() == reference.names()
     for name in reference.names():
-        if name == "svc/fixed":
-            # serialized summary bytes: positions, values and the
-            # certified-bound inputs -- the strongest equality the
-            # exchange format can express (fixed metrics only; adaptive
-            # metrics don't serialise to it and are compared below)
-            assert (
-                registry.fetch_serialized(name)
-                == reference.fetch_serialized(name)
-            ), f"{name}: serialized summary diverged from fault-free run"
+        # serialized summary bytes: positions, values and the
+        # certified-bound inputs -- the strongest equality the
+        # exchange format can express
+        assert (
+            registry.fetch_serialized(name)
+            == reference.fetch_serialized(name)
+        ), f"{name}: serialized summary diverged from fault-free run"
         v_reg, bound_reg, n_reg = registry.quantiles(name, PHIS)
         v_ref, bound_ref, n_ref = reference.quantiles(name, PHIS)
         assert v_reg == v_ref

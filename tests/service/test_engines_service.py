@@ -106,12 +106,12 @@ class TestServiceEngines:
                 values, _, n = client.query(name, PHIS)
                 assert n == 2_400
                 assert values == sorted(values)
-                if name != "e/adaptive":  # adaptive refuses FETCH
-                    raw = client.fetch_raw(name)
-                    magics[name] = engine_of(raw)
-                    assert client.fetch(name).n == 2_400
+                raw = client.fetch_raw(name)
+                magics[name] = engine_of(raw)
+                assert client.fetch(name).n == 2_400
             assert magics == {
                 "e/paper": "paper", "e/kll": "kll", "e/frugal": "frugal",
+                "e/adaptive": "paper",
             }
             stats = client.stats()
             assert stats["engines"] == {"paper": 2, "kll": 1, "frugal": 1}
@@ -208,10 +208,7 @@ class TestServiceEngines:
                 _feed(client, rng, rounds=2)  # tail lives in the journal
                 client.drain()
                 queries = {n: client.query(n, PHIS) for n in ENGINES}
-                payloads = {
-                    n: client.fetch_raw(n)
-                    for n in ENGINES if n != "e/adaptive"
-                }
+                payloads = {n: client.fetch_raw(n) for n in ENGINES}
         finally:
             srv.stop(graceful=False)  # in-process stand-in for SIGKILL
 
@@ -243,10 +240,7 @@ class TestServiceEngines:
                     client.create(name, **cfg)
                 _feed(client, rng, rounds=2)
                 client.drain()
-                payloads = {
-                    n: client.fetch_raw(n)
-                    for n in ENGINES if n != "e/adaptive"
-                }
+                payloads = {n: client.fetch_raw(n) for n in ENGINES}
         finally:
             srv.stop(graceful=False)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptiveQuantileSketch
 from repro.core.errors import ConfigurationError, EmptySummaryError
@@ -203,9 +205,53 @@ class TestQueries:
         v_reg, _, _ = registry.quantiles("m", PHIS)
         assert fw.quantiles(PHIS) == v_reg
 
-    def test_fetch_adaptive_rejected(self):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        length=st.integers(0, 9_000),
+        more=st.integers(0, 3_000),
+        policy=st.sampled_from(["new", "munro-paterson"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fetch_adaptive_round_trips(self, length, more, policy, seed):
+        """FETCH -> RESTORE moves an adaptive metric exactly: an initial
+        capacity of 256 rolls a stage at 256, 768, 1792, 3840, 7936."""
+        config = MetricConfig(
+            kind="adaptive", epsilon=0.05, n=256, policy=policy
+        )
+        rng = np.random.default_rng(seed)
+        donor = SketchRegistry()
+        donor.create("m", config)
+        donor.ingest("m", rng.normal(size=length))
+        payload = donor.fetch_serialized("m")
         registry = SketchRegistry()
-        registry.create("m", MetricConfig(kind="adaptive"))
-        with pytest.raises(ConfigurationError):
-            registry.fetch_serialized("m")
+        assert registry.install_serialized("m", config, payload) is False
+        assert registry.get("m").config == config
+        for step in range(2):
+            assert registry.fetch_serialized("m") == payload
+            src, dst = donor.get("m").sketch, registry.get("m").sketch
+            assert isinstance(dst, AdaptiveQuantileSketch)
+            assert dst.n == src.n and dst.n_stages == src.n_stages
+            assert dst.error_bound() == src.error_bound()
+            if src.n:
+                assert registry.quantiles("m", PHIS) == \
+                    donor.quantiles("m", PHIS)
+            batch = rng.normal(size=more)
+            donor.ingest("m", batch)
+            registry.ingest("m", batch)
+            payload = donor.fetch_serialized("m")
+
+    def test_install_adaptive_refuses_another_metric(self):
+        donor = SketchRegistry()
+        donor.create("m", MetricConfig(kind="adaptive", epsilon=0.02))
+        donor.ingest("m", np.arange(5000.0))
+        payload = donor.fetch_serialized("m")
+        registry = SketchRegistry()
+        for config in (
+            MetricConfig(kind="adaptive", epsilon=0.03),
+            MetricConfig(kind="adaptive", epsilon=0.02, policy="mp"),
+            MetricConfig(kind="fixed", epsilon=0.02),
+        ):
+            with pytest.raises(ConfigurationError, match="corrupt install"):
+                registry.install_serialized("m", config, payload)
+        assert "m" not in registry
 
