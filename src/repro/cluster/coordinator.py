@@ -545,12 +545,21 @@ class ClusterCoordinator:
         with self._lock:
             nid = self.manifest.next_node_id()
             _, parent_conn = self._launch(nid, self.manifest.epoch + 1)
-            port = self._await_ready(
-                nid, parent_conn, time.monotonic() + timeout
+        try:
+            with self._lock:
+                port = self._await_ready(
+                    nid, parent_conn, time.monotonic() + timeout
+                )
+            spec = NodeSpec(
+                id=nid, host=self.host, port=port, status="syncing"
             )
-        spec = NodeSpec(id=nid, host=self.host, port=port, status="syncing")
-        with self._sync_driver() as driver:
-            delta, _names = driver.join(spec, self._commit)
+            with self._sync_driver() as driver:
+                delta, _names = driver.join(spec, self._commit)
+        except BaseException:
+            # the manifest no longer names the node, so a retry reuses
+            # its id: stop this process before a second one is launched
+            self._reap(nid, timeout)
+            raise
         obs_hooks.registry().counter("cluster.rebalance_transfers").inc(
             len(delta.moved)
         )
@@ -572,6 +581,11 @@ class ClusterCoordinator:
         obs_hooks.registry().counter("cluster.rebalance_transfers").inc(
             len(delta.moved)
         )
+        self._reap(nid, timeout)
+        return [key for key, _ in delta.transfers()]
+
+    def _reap(self, nid: str, timeout: float) -> None:
+        """Stop *nid*'s process gracefully, if it runs, and forget it."""
         proc = self._procs.pop(nid, None)
         if proc is not None and proc.is_alive():
             proc.terminate()
@@ -579,7 +593,6 @@ class ClusterCoordinator:
             if proc.is_alive():  # pragma: no cover - drain overran
                 proc.kill()
                 proc.join(5.0)
-        return [key for key, _ in delta.transfers()]
 
     def poll(self) -> List[str]:
         """One health sweep; returns ids of *newly* dead nodes.

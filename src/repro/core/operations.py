@@ -306,19 +306,26 @@ def output(
         The number of *genuine* input elements (excluding padding).  The
         selection position is the paper's ``ceil(phi' * k * W)`` expressed
         in exact integer arithmetic: ``ceil(phi * N)`` plus the weighted
-        count of ``-inf`` pads below the data.
+        count of ``-inf`` pads below the data.  A COLLAPSE that selects a
+        pad stores it at the output weight, so the stored pads can
+        outweigh the real ones and crowd genuine elements out; a
+        position past the last stored genuine element is read at that
+        element instead of at a pad.
     """
     if not buffers:
         raise ConfigurationError("OUTPUT requires at least one full buffer")
     if n_real < 1:
         raise ConfigurationError("OUTPUT requires at least one real element")
     low_pad_weighted = sum(b.n_low_pad * b.weight for b in buffers)
+    last_real = sum(
+        (len(b.values) - b.n_high_pad) * b.weight for b in buffers
+    )
     targets = []
     for phi in phis:
         if not 0.0 <= phi <= 1.0:
             raise ConfigurationError(f"quantile fraction {phi} not in [0, 1]")
         rank = min(max(int(np.ceil(phi * n_real)), 1), n_real)
-        targets.append(rank + low_pad_weighted)
+        targets.append(min(rank + low_pad_weighted, last_real))
     order = np.argsort(targets, kind="stable")
     selected = weighted_select(
         buffers, [targets[i] for i in order], use_kernels=use_kernels

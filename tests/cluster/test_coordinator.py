@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.cluster import ClusterCoordinator, ClusterManifest
+from repro.cluster import (
+    ClusterCoordinator,
+    ClusterManifest,
+    ClusterSyncError,
+    SyncDriver,
+)
 from repro.cluster.errors import ClusterConfigError
 from repro.service import QuantileClient
 
@@ -122,3 +128,50 @@ class TestSupervision:
         ) as coord:
             with pytest.raises(ClusterConfigError, match="unknown node"):
                 coord.kill_node("node-7")
+
+
+def _boom(*_args, **_kwargs):
+    raise ClusterSyncError("donor failed mid-sync")
+
+
+class TestFailedJoin:
+    def test_failed_add_node_stops_its_process_and_retry_joins(
+        self, tmp_path, monkeypatch
+    ):
+        """A join whose donor fails mid-sync takes the node out of the
+        manifest again, so a retry reuses its id: the first attempt's
+        server must be gone before the retry launches the only one."""
+        names = [f"join/m{i}" for i in range(4)]
+        with ClusterCoordinator(
+            nodes=2, replication=2, data_dir=str(tmp_path), **SERVICE_KW
+        ) as coord:
+            with coord.client() as client:
+                for i, name in enumerate(names):
+                    client.create(name, kind="adaptive")
+                    client.ingest(name, np.arange(100.0) + i)
+                client.drain()
+            epoch0 = coord.epoch
+            launched = []
+            launch = coord._launch
+
+            def spy(nid, epoch, ctx=None):
+                proc, conn = launch(nid, epoch, ctx)
+                launched.append(proc)
+                return proc, conn
+
+            monkeypatch.setattr(coord, "_launch", spy)
+            with monkeypatch.context() as patch:
+                patch.setattr(SyncDriver, "sync_metric", _boom)
+                with pytest.raises(ClusterSyncError, match="donor failed"):
+                    coord.add_node()
+            assert coord.manifest.node_ids() == ["node-0", "node-1"]
+            assert coord.epoch == epoch0 + 2  # joined, then undone
+            assert len(launched) == 1
+            assert not launched[0].is_alive()
+            assert not coord.is_alive("node-2")
+            assert coord.add_node() == "node-2"
+            assert len(launched) == 2 and launched[1].is_alive()
+            assert coord.manifest.node("node-2").status == "up"
+            with coord.client() as client:
+                for name in names:
+                    assert client.query(name, [0.5])[2] == 100, name
