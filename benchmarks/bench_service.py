@@ -1,7 +1,7 @@
 """Service ingest throughput: the TCP server versus in-process SketchBank.
 
 The acceptance target for the service subsystem is that batched ingest
-through the full stack -- zero-copy frame encode, TCP, coalesced asyncio
+through the full stack -- zero-copy frame encode, TCP, coalesced reactor
 server, journal-less registry enqueue, vectorized shard drain -- stays
 within 1.3x of direct in-process
 :class:`~repro.core.bank.SketchBank` ingest once batches are large
@@ -40,7 +40,7 @@ Five measurements, written to ``BENCH_service.json``:
   cluster while a killed-and-restarted node re-syncs on a background
   thread, versus the same timed segment on a healthy cluster.  Gated:
   recovery must leave >= 0.8x of the ingest throughput -- donors serve
-  SYNCPULL snapshots and journal tails from the same event loop that
+  SYNCPULL snapshots and journal tails from the same reactor that
   is absorbing the firehose.
 
 Run directly::
@@ -128,7 +128,7 @@ def bench_service(
     idempotency: bool = True,
     windowed: bool = False,
 ) -> Dict[str, object]:
-    """Pipelined client -> TCP -> asyncio server -> shard drain.
+    """Pipelined client -> TCP -> server reactor -> shard drain.
 
     ``windowed=True`` declares every metric as a sliding window
     (60s/10s), pricing the event-time path -- per-batch clock stamp,

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """CI smoke: a real server's peak memory follows sketch state, not traffic.
 
-Two phases, each against a fresh ``python -m repro serve --data-dir``
-subprocess, each failing on the growth of the server's peak resident
-set (``VmHWM`` in ``/proc/<pid>/status``) past its post-CREATE value.
+Three phases, each against a fresh ``python -m repro serve --data-dir``
+subprocess.  The first two fail on the growth of the server's peak
+resident set (``VmHWM`` in ``/proc/<pid>/status``) past its post-CREATE
+value; the third on what an idle server holds at all.
 
 **Receive chunks.**  The server decodes INGEST values as zero-copy views
-into whole socket reads (up to 4 MiB each).  An engine that kept such a
+into whole socket reads (up to 256 KiB, or one frame that spans
+reads).  An engine that kept such a
 view would pin the chunk for as long as the metric lives, so a server
 with many cold metrics would grow by about one chunk per metric that
 ever saw a batch.  The phase creates one paper metric and 64 KLL
@@ -21,14 +23,22 @@ window costs a couple of MiB; one Python object per batch would cost
 about 20.  The phase sends 65 536 pipelined one-value INGESTs to one
 metric.  Limit: +10 MiB.
 
-Either phase also fails if a metric's count is wrong.  Linux only
-(reads ``/proc``).  Exit code 0 on success.
+**Idle server.**  A server that has only started listening should
+cost little more than the interpreter and numpy it needs.  The phase
+compares its ``VmHWM`` with that of ``python -c "import numpy"`` on the
+same host, which keeps the limit independent of the machine: the gap
+is about 6 MiB, and an event-loop stack with its TLS and executor
+modules (``asyncio``, ``ssl``, ``concurrent.futures``) adds about 6
+more.  Limit: +9 MiB.
+
+The first two phases also fail if a metric's count is wrong.  Linux
+only (reads ``/proc``).  Exit code 0 on success.
 
 Usage::
 
     PYTHONPATH=src python scripts/memory_smoke.py [--port 7458]
 
-The second phase listens on ``port + 1``.
+The second phase listens on ``port + 1``, the third on ``port + 2``.
 """
 
 from __future__ import annotations
@@ -58,6 +68,16 @@ MAX_GROWTH_MIB = 24.0
 #: one-value INGESTs of the bookkeeping phase (a full token window)
 N_TINY = 65536
 MAX_TINY_GROWTH_MIB = 10.0
+
+#: an idle server's VmHWM above a bare ``import numpy`` interpreter
+MAX_IDLE_GAP_MIB = 9.0
+
+_NUMPY_HWM = """
+import numpy
+for line in open("/proc/self/status"):
+    if line.startswith("VmHWM:"):
+        print(line.split()[1])
+"""
 
 
 def start_server(port: int, data_dir: str) -> subprocess.Popen:
@@ -164,6 +184,28 @@ def bookkeeping_phase(port: int) -> float:
     return peak - base
 
 
+def idle_phase(port: int) -> float:
+    """An idle server's VmHWM (MiB) above ``import numpy``'s."""
+    floor = int(
+        subprocess.run(
+            [sys.executable, "-c", _NUMPY_HWM],
+            capture_output=True, text=True, check=True,
+        ).stdout
+    ) / 1024.0
+    with tempfile.TemporaryDirectory(prefix="repro-memory-") as data_dir:
+        proc = start_server(port, data_dir)
+        try:
+            idle = peak_rss_mib(proc.pid)
+        finally:
+            stop_server(proc)
+    print(
+        f"idle phase: VmHWM {idle:.1f} MiB listening, {floor:.1f} MiB for "
+        f"import numpy (+{idle - floor:.1f} MiB, limit "
+        f"+{MAX_IDLE_GAP_MIB:.0f} MiB)"
+    )
+    return idle - floor
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--port", type=int, default=7458)
@@ -175,6 +217,9 @@ def main(argv=None) -> int:
         failed = True
     if bookkeeping_phase(args.port + 1) > MAX_TINY_GROWTH_MIB:
         print("FAIL: per-request bookkeeping grew by a Python object a batch")
+        failed = True
+    if idle_phase(args.port + 2) > MAX_IDLE_GAP_MIB:
+        print("FAIL: an idle server holds modules it does not serve with")
         failed = True
     if failed:
         return 1

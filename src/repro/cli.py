@@ -274,9 +274,6 @@ def _file_clock(path: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
     from .service import QuantileService
 
     watch_interval_s = (
@@ -296,47 +293,40 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         clock=_file_clock(args.clock_file) if args.clock_file else None,
         **_service_kwargs(args),
     )
+    # start() takes over SIGTERM/SIGINT before it binds: a supervisor may
+    # signal as soon as it reads the listening line
+    service.start()
+    proxy = None
+    if args.chaos:
+        from .service.faults import ChaosProxy, FaultSchedule
 
-    async def _run() -> None:
-        # handlers first: a supervisor may signal as soon as it reads
-        # the listening line
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stop.set)
-        await service.start()
-        proxy = None
-        if args.chaos:
-            from .service.faults import ChaosProxy, FaultSchedule
-
-            proxy = ChaosProxy(
-                service.host,
-                service.port,
-                schedule=FaultSchedule.from_seed(args.chaos_seed),
-                host=args.host,
-                port=args.port,
-            ).start()
-        durability = (
-            f"data_dir={service.data_dir}" if service.data_dir else "ephemeral"
-        )
-        public_port = proxy.port if proxy is not None else service.port
-        chaos = (
-            f", CHAOS seed={args.chaos_seed} upstream={service.port}"
-            if proxy is not None
-            else ""
-        )
-        print(
-            f"repro service listening on {service.host}:{public_port} "
-            f"({service.n_shards} shards, {durability}{chaos})",
-            flush=True,
-        )
-        await stop.wait()
-        print("shutting down (graceful)", flush=True)
+        proxy = ChaosProxy(
+            service.host,
+            service.port,
+            schedule=FaultSchedule.from_seed(args.chaos_seed),
+            host=args.host,
+            port=args.port,
+        ).start()
+    durability = (
+        f"data_dir={service.data_dir}" if service.data_dir else "ephemeral"
+    )
+    public_port = proxy.port if proxy is not None else service.port
+    chaos = (
+        f", CHAOS seed={args.chaos_seed} upstream={service.port}"
+        if proxy is not None
+        else ""
+    )
+    print(
+        f"repro service listening on {service.host}:{public_port} "
+        f"({service.n_shards} shards, {durability}{chaos})",
+        flush=True,
+    )
+    try:
+        service.serve()
+    finally:
         if proxy is not None:
             proxy.stop()
-        await service.stop(graceful=True)
-
-    asyncio.run(_run())
+    print("stopped (graceful)", flush=True)
     return 0
 
 

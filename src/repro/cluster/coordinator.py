@@ -1,7 +1,7 @@
 """The cluster coordinator: launch, supervise and account for N nodes.
 
 Each node is a **complete** :class:`~repro.service.server.QuantileService`
-process -- own event loop, own shards, own journal + snapshot pair under
+process -- own reactor, own shards, own journal + snapshot pair under
 ``data_dir/node-<i>`` -- spawned through the module-level entry point
 ``_worker_main`` (spawn context, pipe handshake, SIGTERM = graceful
 drain).  Every node knows its ``node_id`` and the manifest ``epoch`` it
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -76,38 +75,26 @@ def _worker_main(
 ) -> None:
     """Entry point of one worker process (spawn-safe, module level).
 
-    Runs a complete :class:`QuantileService` -- own event loop, own
-    shards, own journal -- reports the bound port (ephemeral when the
-    cluster asked for port 0) back over *conn*, then serves until
-    SIGTERM/SIGINT, which triggers the same graceful drain a
-    single-process server performs: apply queued batches, final
-    snapshot, close the journal.
+    Runs a complete :class:`QuantileService` -- own reactor, own shards,
+    own journal -- reports the bound port (ephemeral when the cluster
+    asked for port 0) back over *conn*, then serves until SIGTERM/SIGINT,
+    which triggers the same graceful drain a single-process server
+    performs: apply queued batches, final snapshot, close the journal.
     """
-    import asyncio
-
     from ..service.server import QuantileService
 
     service = QuantileService(
         host=host, port=port, data_dir=data_dir, **service_kwargs
     )
-
-    async def _run() -> None:
-        try:
-            await service.start()
-        except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            conn.close()
-            raise
-        conn.send(("ready", service.port))
+    try:
+        service.start()
+    except BaseException as exc:  # noqa: BLE001 - shipped to parent
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
         conn.close()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        await stop.wait()
-        await service.stop(graceful=True)
-
-    asyncio.run(_run())
+        raise
+    conn.send(("ready", service.port))
+    conn.close()
+    service.serve()
 
 
 def publish_ring_gauges(

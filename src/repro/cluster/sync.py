@@ -296,7 +296,11 @@ class SyncDriver:
                 report.bytes += len(view["payload"])
                 target.restore_config(name, view["config"], view["payload"])
                 after_seq = view["seq"]
-                continue
+                if after_seq:
+                    continue  # catch up on the tail journaled since
+                # a donor without a journal answers seq 0: no tail can
+                # follow, so the install is the whole transfer -- check
+                # it once below instead of re-installing
             for _seq, token, values in view["records"]:
                 target.ingest(name, values, token=token)
                 report.records += 1

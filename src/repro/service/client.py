@@ -29,8 +29,8 @@ Two ingest modes survive from the original client:
   window makes the resend safe.  :meth:`flush` drains the acks.
 
 The client is deliberately synchronous (usable from shell tools, the
-example monitor and load-generator threads); the server side is the
-asyncio half.
+example monitor and load-generator threads), like the server's
+single-threaded reactor.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class QuantileClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             # a deep send buffer lets pipelined ingest keep streaming
-            # while the server's event loop is busy applying a batch
+            # while the server's reactor is busy applying a batch
             # (capped by net.core.wmem_max)
             sock.setsockopt(
                 socket.SOL_SOCKET, socket.SO_SNDBUF, 4 * 1024 * 1024

@@ -337,7 +337,7 @@ class ChaosProxy:
     path.
 
     Thread-based and blocking-socket so it composes with both the
-    blocking client and the asyncio server from any test or shell.
+    blocking client and the server from any test or shell.
     """
 
     def __init__(

@@ -14,7 +14,7 @@ validate opcode, lengths and value finiteness and fail with
 
 The codec here is transport-agnostic and synchronous -- pure
 ``bytes -> message`` functions plus blocking-socket frame helpers -- so
-the asyncio server, the blocking client, tests and shell tools all share
+the server, the blocking client, tests and shell tools all share
 one implementation.  Sketch payloads (the ``FETCH`` response) are the
 engine wire formats of :mod:`repro.core.engines` verbatim, which is
 what makes shard fan-in (:func:`repro.core.serialize.merge_serialized`)
@@ -25,13 +25,13 @@ Zero-copy fast path: :func:`decode_request` accepts any buffer
 (``bytes``, ``bytearray``, ``memoryview``) and decodes ``INGEST`` value
 arrays as read-only ``np.frombuffer`` views *into that buffer* -- no
 per-batch copy.  A view pins its whole receive buffer (a socket read of
-up to 4 MiB) for as long as anything references it, so the ownership
-rule is: a view may live in the shard queue until its batch is applied,
-and engines copy whatever ingest data they keep beyond that call
-(``tests/core/test_no_aliasing.py``).  On the sending side
-:func:`encode_ingest_framed` assembles the entire length-prefixed frame
-in one preallocated buffer, so a batch is copied exactly once between
-the caller's array and the socket.
+up to 256 KiB, or one frame that spans reads) for as long as anything
+references it, so the ownership rule is: a view may live in the shard
+queue until its batch is applied, and engines copy whatever ingest data
+they keep beyond that call (``tests/core/test_no_aliasing.py``).  On the
+sending side :func:`encode_ingest_framed` assembles the entire
+length-prefixed frame in one preallocated buffer, so a batch is copied
+exactly once between the caller's array and the socket.
 """
 
 from __future__ import annotations

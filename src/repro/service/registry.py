@@ -20,7 +20,7 @@ bit-identical to per-sketch feeding, the apply order is equivalent to
 replaying the journal one record at a time -- the property crash
 recovery relies on.
 
-The registry is synchronous and transport-free; the asyncio server is a
+The registry is synchronous and transport-free; the server's reactor is a
 thin shell over it, and tests drive it directly.
 """
 

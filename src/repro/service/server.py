@@ -1,35 +1,52 @@
-"""The asyncio quantile-sketch server.
+"""The quantile-sketch server: one thread, one ``selectors`` reactor.
 
-One process, one event loop, ``n_shards`` batching domains.  Connection
-handlers decode frames and translate them into registry operations; they
-never touch sketch internals.  The ingest path is::
+One process, one thread, ``n_shards`` batching domains.  The request
+path decodes frames and translates them into registry operations; it
+never touches sketch internals.  The ingest path is::
 
     frame in -> validate batch -> journal append (WAL) -> enqueue on the
     metric's shard -> ack           (sketch not yet updated)
 
-    shard flusher (one task per shard) -> drains the queue through
+    end of the reactor round -> drain each woken shard through
     SketchBank.extend_pairs          (vectorised, batched across
                                       connections and metrics)
 
-The receive path is zero-copy and coalescing: each scheduling slot of a
-connection handler reads one large chunk off the stream, parses *every*
-complete frame in it, and dispatches them back to back -- INGEST value
-arrays are ``np.frombuffer`` views into the chunk (no per-batch copy;
-the view pins the chunk until the shard flusher applies it, and engines
-copy whatever they keep, so no chunk outlives its batches), and the
-acks for the whole chunk are written in one ``write`` + one ``drain``.
+The reactor is a ``selectors`` loop over non-blocking sockets: the
+listener, every accepted connection and a wakeup socketpair.  Each
+round waits for ready sockets or the next timer (the snapshot and WATCH
+ticks, and shard drains under ``batch_window_s``), then:
+
+* **receive** -- each readable connection gets one ``recv(READ_CHUNK)``.
+  Every complete frame in the chunk is dispatched back to back, and
+  INGEST value arrays are ``np.frombuffer`` views into the chunk: one
+  copy out of the kernel, none per batch.  A view pins its chunk until
+  the shard applies the batch, and engines copy whatever they keep, so
+  no chunk outlives its batches.  A frame that spans reads is joined
+  once, when its last byte has arrived;
+* **send** -- the acks for a whole chunk leave in one ``send``.  What
+  the peer does not take waits in the connection's outbound buffer, and
+  the reactor reads nothing more from that connection until it is
+  flushed, so a client that never reads its acks stalls only itself;
+* **apply** -- with ``batch_window_s == 0`` every shard woken in the
+  round drains after it, so pipelined INGESTs from every connection that
+  was ready are applied by one ``apply_shard`` call.
+
 Each frame is still dispatched individually, in order, through the same
 journal/dedup/ack pipeline, so idempotency-token semantics and the
-journal-order-is-apply-order invariant are untouched; only the syscall
-and copy count per frame changes.  Pipelined INGESTs that share a chunk
-land in the shard queue together and are applied by one
-``apply_shard`` call.
+journal-order-is-apply-order invariant hold.  Because one thread runs
+everything, every mutation is serial: the journal order *is* the apply
+order, queries never observe a half-applied batch, and snapshots
+capture a consistent image by draining the shard queues first.  Queries
+flush the owning shard's queue synchronously before answering, so a
+client always reads its own acknowledged writes.
 
-Because handlers run on one loop, every mutation is serial: the journal
-order *is* the apply order, queries never observe a half-applied batch,
-and snapshots capture a consistent image by draining the shard queues
-first.  Queries flush the owning shard's queue synchronously before
-answering, so a client always reads its own acknowledged writes.
+Lifecycle: :meth:`QuantileService.start` recovers and binds, and
+:meth:`QuantileService.serve` runs the reactor until
+:meth:`QuantileService.stop` -- callable from any thread -- or, on the
+main thread, SIGTERM/SIGINT (both reach the loop through the wakeup
+socketpair; signals via ``signal.set_wakeup_fd``).  ``repro serve``,
+every cluster node process and :class:`ServerThread` run this one
+sequence.
 
 Durability: pass ``data_dir`` to enable the journal + snapshot pair
 (see :mod:`repro.service.journal` / :mod:`repro.service.snapshot`);
@@ -44,25 +61,28 @@ Resilience (tested by the fault-injection harness in
   INGEST after a lost ack is applied exactly once -- including across a
   crash, because recovery re-records the tokens it replays;
 * each connection is bounded by ``max_inflight_bytes`` of queued ingest
-  payload: past the limit the handler drains the shards synchronously
-  before reading more frames, so a fast producer cannot balloon the
+  payload: past the limit the server drains the shards synchronously
+  before reading from it again, so a fast producer cannot balloon the
   pending queues;
 * a graceful stop (``SIGTERM`` under ``repro serve``) drains: the
-  listener closes, connections finish their in-flight frame and are
-  then shut, every queued batch is applied, a final snapshot is written
-  and the journal is closed -- nothing new is acknowledged once the
-  drain begins.
+  listener closes, connections take the acks of the frames already read
+  and are then shut, every queued batch is applied, a final snapshot is
+  written and the journal is closed -- nothing new is acknowledged once
+  the drain begins.
 
-:class:`ServerThread` embeds the whole server in a background thread for
+:class:`ServerThread` runs the whole server on a background thread for
 tests, examples and benchmarks; ``repro serve`` runs it in the
 foreground.
 """
 
 from __future__ import annotations
 
-import asyncio
+import heapq
 import os
+import selectors
+import signal
 import socket
+import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -92,12 +112,18 @@ __all__ = ["QuantileService", "ServerThread"]
 SNAPSHOT_FILE = "snapshot.bin"
 JOURNAL_FILE = "journal.log"
 
-#: how much a connection handler tries to slurp per scheduling slot; the
-#: whole chunk is parsed and dispatched as one coalesced batch
-READ_CHUNK = 4 * 1024 * 1024
+#: the most one ``recv`` takes off a ready connection; the whole chunk is
+#: parsed and dispatched as one coalesced batch.  Bigger chunks make
+#: bigger shard drains, which cost fewer ns per element but hold more
+#: transient memory: at 4 MiB a node of the suite's cluster workload
+#: peaked about 9 MiB higher than at this size, asyncio's read size.
+READ_CHUNK = 256 * 1024
 
-#: kernel receive buffer requested per accepted connection.  While the
-#: flusher applies a coalesced batch the event loop performs no reads,
+#: pending connections the kernel queues on the listening socket
+LISTEN_BACKLOG = 100
+
+#: kernel receive buffer requested per accepted connection.  While a
+#: shard applies a coalesced batch the reactor performs no reads,
 #: so the socket buffer is the *only* pipelining depth the client gets;
 #: the ~208 KiB default stalls a pipelined sender after ~6 batches of
 #: 4096 float64s.  The kernel caps this at ``net.core.rmem_max``.
@@ -152,6 +178,26 @@ class _Instruments:
         self.frames_per_read.observe(n_frames)
 
 
+class _Connection:
+    """One accepted socket: its unparsed bytes and its unsent acks."""
+
+    __slots__ = ("sock", "parts", "have", "need", "out", "inflight", "closing")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        #: received bytes that do not yet complete a frame
+        self.parts: List[bytes] = []
+        self.have = 0
+        #: how many buffered bytes the next parse needs to make progress
+        self.need = 4
+        #: acks the peer has not taken yet; reading pauses while set
+        self.out: Optional[memoryview] = None
+        #: queued-but-unapplied ingest payload (the backpressure bound)
+        self.inflight = 0
+        #: close once ``out`` is flushed
+        self.closing = False
+
+
 class QuantileService:
     """A sharded, durable quantile-sketch server.
 
@@ -174,30 +220,30 @@ class QuantileService:
         Batching domains (each backed by a
         :class:`~repro.core.bank.SketchBank`).
     snapshot_interval_s:
-        Period of the automatic snapshot task (``None`` = only explicit
+        Period of the automatic snapshot timer (``None`` = only explicit
         ``SNAPSHOT`` commands and graceful shutdown snapshot).
     fsync:
         Journal durability mode -- ``False`` flushes (survives process
         kill), ``True`` fsyncs every batch (survives power loss).
     batch_window_s:
-        How long a shard flusher waits after waking before draining its
-        queue; ``0`` still batches everything enqueued in the same event
-        loop iteration.
+        How long a shard waits after its first queued batch before
+        draining its queue; ``0`` still batches everything enqueued in
+        the same reactor round.
     max_inflight_bytes:
         Per-connection backpressure bound: once a connection has this
         many bytes of ingest payload queued but not yet applied, the
-        handler drains the shards synchronously before reading the next
-        frame.
+        server drains the shards synchronously before reading from it
+        again.
     drain_grace_s:
-        How long a graceful stop waits for open connections to finish
-        their in-flight frame before forcibly closing them.
+        How long a graceful stop waits for open connections to take the
+        acks of the frames already read before forcibly closing them.
     clock:
         Event-time source (``() -> float`` seconds) used to stamp
         ingests into windowed metrics and to drive WATCH evaluation.
         ``None`` means ``time.time``.  Tests inject a synthetic clock
         here to make window expiry and alert firing deterministic.
     watch_interval_s:
-        Period of the WATCH scheduler task (``None`` or ``0`` disables
+        Period of the WATCH timer (``None`` or ``0`` disables
         it; rules are then only evaluated by ``ALERTS evaluate=1``).
     """
 
@@ -248,12 +294,21 @@ class QuantileService:
         self._t0 = time.monotonic()
         self.rules = RuleSet(self.metrics)
         self.journal: Optional[IngestJournal] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._shard_events: List[asyncio.Event] = []
-        self._tasks: List[asyncio.Task] = []
-        self._conn_tasks: "set[asyncio.Task]" = set()
-        self._draining = False
-        self._stopped = False
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener: Optional[socket.socket] = None
+        self._conns: "set[_Connection]" = set()
+        #: ``(monotonic deadline, tie-break, callback)`` heap
+        self._timers: List[Any] = []
+        self._timer_seq = 0
+        #: shards with batches queued since their last drain
+        self._woken: "set[int]" = set()
+        #: the loop's wakeup pair: stop() and signals write, serve() reads
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
+        self._saved_wakeup_fd: Optional[int] = None
+        self._saved_handlers: Dict[int, Any] = {}
+        #: ``None`` while serving; the ``graceful`` flag once stop() ran
+        self._stop_mode: Optional[bool] = None
 
     # -- recovery ----------------------------------------------------------
 
@@ -339,127 +394,259 @@ class QuantileService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        """Recover, bind the socket and launch the background tasks."""
-        if self.observability:
-            # turn on core instrumentation into this server's registry so
-            # STATS can report per-level collapse counts and the live
-            # certified bound per metric
-            obs_hooks.enable(registry=self.metrics)
-        if self.data_dir is not None:
-            self._recover()
-        self._shard_events = [asyncio.Event() for _ in range(self.n_shards)]
-        for i in range(self.n_shards):
-            self._tasks.append(
-                asyncio.create_task(self._shard_flusher(i))
-            )
+    def start(self) -> None:
+        """Recover, bind the listening socket and arm the timers.
+
+        Returns once the server is bound (read :attr:`port` back here)
+        without serving anything; :meth:`serve` runs the reactor.  Both
+        must run on the same thread.  On the main thread this also makes
+        SIGTERM and SIGINT request a graceful stop, from before recovery
+        on, so a supervisor may signal as soon as it reads the port.
+        """
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        try:
+            if threading.current_thread() is threading.main_thread():
+                self._saved_wakeup_fd = signal.set_wakeup_fd(
+                    self._wake_w.fileno(), warn_on_full_buffer=False
+                )
+                for signum in (signal.SIGINT, signal.SIGTERM):
+                    self._saved_handlers[signum] = signal.signal(
+                        signum, self._on_signal
+                    )
+            if self.observability:
+                # turn on core instrumentation into this server's
+                # registry so STATS can report per-level collapse counts
+                # and the live certified bound per metric
+                obs_hooks.enable(registry=self.metrics)
+            if self.data_dir is not None:
+                self._recover()
+            self._listener = self._bind()
+            self._selector.register(self._listener, selectors.EVENT_READ)
+        except BaseException:
+            self._release()
+            raise
         if self.data_dir is not None and self.snapshot_interval_s:
-            self._tasks.append(asyncio.create_task(self._snapshotter()))
+            self._every(self.snapshot_interval_s, self._write_snapshot)
         if self.watch_interval_s:
-            self._tasks.append(asyncio.create_task(self._watcher()))
-        # a large stream buffer lets one scheduling slot of the reader
-        # task slurp many pipelined ingest frames, so the shard flusher
-        # sees them as a single vectorized super-batch (the default 64 KiB
-        # limit caps that at two 4096-value batches per slot)
+            self._every(self.watch_interval_s, self._evaluate_rules)
+
+    def _bind(self) -> socket.socket:
         if self.path is not None:
             if os.path.exists(self.path):
-                os.unlink(self.path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.path,
-                limit=8 * 1024 * 1024,
-            )
+                os.unlink(self.path)  # a stale socket from a dead process
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.bind(self.path)
+                sock.listen(LISTEN_BACKLOG)
+            except BaseException:
+                sock.close()
+                raise
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port,
-                limit=8 * 1024 * 1024,
+            family, _, _, _, addr = socket.getaddrinfo(
+                self.host, self.port, type=socket.SOCK_STREAM,
+                flags=socket.AI_PASSIVE,
+            )[0]
+            # SO_REUSEADDR is set, so a restart need not wait out TIME_WAIT
+            sock = socket.create_server(
+                addr, family=family, backlog=LISTEN_BACKLOG
             )
-            self.port = self._server.sockets[0].getsockname()[1]
+            self.port = sock.getsockname()[1]
+        sock.setblocking(False)
+        return sock
 
-    async def stop(self, *, graceful: bool = True) -> None:
-        """Shut down.
+    def serve(self) -> None:
+        """Serve until :meth:`stop` (or SIGTERM/SIGINT), then shut down.
 
-        ``graceful=True`` drains: stop accepting connections, let every
-        open connection finish the frame it is processing (bounded by
-        ``drain_grace_s``; nothing new is acknowledged once the drain
-        begins), apply all queued batches, write a final snapshot (when
-        durable) and close the journal.  ``graceful=False`` skips all of
-        that -- the in-process equivalent of ``SIGKILL``, used by the
-        crash-recovery tests: whatever the journal already holds is what
-        recovery gets.
+        Calls :meth:`start` first unless it already ran.  The graceful
+        shutdown closes the listener, lets every connection flush the
+        acks of the frames it already read (bounded by
+        ``drain_grace_s``; nothing new is read, so nothing new is
+        acknowledged once the drain begins), applies every queued batch,
+        writes a final snapshot (when durable) and closes the journal.
+        A non-graceful stop skips all of that -- the in-process
+        equivalent of ``SIGKILL``, used by the crash-recovery tests:
+        whatever the journal already holds is what recovery gets.
         """
-        if self._stopped:
+        if self._selector is None:
+            self.start()
+        try:
+            while self._stop_mode is None:
+                self._poll()
+            graceful = self._stop_mode
+            self._close_listener()
+            if graceful:
+                self._drain_connections()
+            for conn in list(self._conns):
+                self._close(conn)
+            if graceful:
+                self.registry.apply_all()
+                if self.data_dir is not None and self.journal is not None:
+                    self._write_snapshot()
+                    self.journal.close()
+        finally:
+            self._release()
+
+    def stop(self, *, graceful: bool = True) -> None:
+        """Ask :meth:`serve` to shut down; returns at once.
+
+        Safe from any thread and from a signal handler.  The first
+        request decides whether the shutdown is graceful.
+        """
+        if self._stop_mode is None:
+            self._stop_mode = graceful
+        wake = self._wake_w
+        if wake is not None:
+            try:
+                wake.send(b"\0")
+            except OSError:  # full (a wakeup is pending) or already closed
+                pass
+
+    def _on_signal(self, signum: int, frame: Any) -> None:
+        self.stop(graceful=True)
+
+    def _close_listener(self) -> None:
+        listener, self._listener = self._listener, None
+        if listener is None:
             return
-        self._stopped = True
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._selector.unregister(listener)
+        listener.close()
         if self.path is not None:
             try:
                 os.unlink(self.path)
             except OSError:
                 pass
-        if graceful and self._conn_tasks:
-            # handlers notice _draining after answering their in-flight
-            # frame and close; idle connections sit in read() and are
-            # cancelled after the grace window
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.drain_grace_s
-            while self._conn_tasks and loop.time() < deadline:
-                await asyncio.sleep(0.01)
-        for task in list(self._conn_tasks) + self._tasks:
-            task.cancel()
-        for task in list(self._conn_tasks) + self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        if graceful:
-            self.registry.apply_all()
-            if self.data_dir is not None and self.journal is not None:
-                self._write_snapshot()
-                self.journal.close()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- background tasks --------------------------------------------------
-
-    async def _shard_flusher(self, shard: int) -> None:
-        event = self._shard_events[shard]
-        while True:
-            await event.wait()
-            event.clear()
-            # let every connection with buffered frames enqueue first so
-            # the drain below sees one large cross-connection super-batch
-            if self.batch_window_s:
-                await asyncio.sleep(self.batch_window_s)
+    def _drain_connections(self) -> None:
+        """Flush the acks already produced, within ``drain_grace_s``."""
+        for conn in list(self._conns):
+            if conn.out is None:
+                self._close(conn)
             else:
-                await asyncio.sleep(0)
-            self.registry.apply_shard(shard)
+                conn.closing = True
+        deadline = time.monotonic() + self.drain_grace_s
+        while self._conns:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            self._dispatch_events(remaining)
 
-    async def _snapshotter(self) -> None:
-        assert self.snapshot_interval_s is not None
-        while True:
-            await asyncio.sleep(self.snapshot_interval_s)
-            self._write_snapshot()
+    def _release(self) -> None:
+        """Close every socket and restore the signal dispositions."""
+        self._close_listener()
+        for conn in list(self._conns):
+            self._close(conn)
+        if self._saved_wakeup_fd is not None:
+            signal.set_wakeup_fd(self._saved_wakeup_fd)
+            self._saved_wakeup_fd = None
+        for signum, handler in self._saved_handlers.items():
+            if handler is not None:
+                signal.signal(signum, handler)
+        self._saved_handlers = {}
+        wake_r, wake_w = self._wake_r, self._wake_w
+        self._wake_r = self._wake_w = None
+        for sock in (wake_r, wake_w):
+            if sock is not None:
+                sock.close()
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
+        self._timers = []
 
-    async def _watcher(self) -> None:
-        """The WATCH scheduler: evaluate every rule each tick.
+    # -- the reactor -------------------------------------------------------
 
-        Sleeps on the *event loop* clock but evaluates at the *injected*
+    def _poll(self) -> None:
+        """One reactor round: wait for sockets or the next timer, handle
+        every ready socket, apply the woken shards, run due timers."""
+        timers = self._timers
+        timeout = (
+            max(0.0, timers[0][0] - time.monotonic()) if timers else None
+        )
+        self._dispatch_events(timeout)
+        woken = self._woken
+        if woken and not self.batch_window_s:
+            # every connection that was ready this round has enqueued
+            # its frames: each shard drains them as one super-batch
+            while woken:
+                self._run_deferred(self.registry.apply_shard, woken.pop())
+        if timers:
+            now = time.monotonic()
+            while timers and timers[0][0] <= now:
+                self._run_deferred(heapq.heappop(timers)[2])
+
+    def _dispatch_events(self, timeout: Optional[float]) -> None:
+        for key, mask in self._selector.select(timeout):
+            conn = key.data
+            try:
+                if conn is not None:
+                    if mask & selectors.EVENT_READ:
+                        self._on_readable(conn)
+                    else:
+                        self._on_writable(conn)
+                elif key.fileobj is self._listener:
+                    self._accept()
+                else:
+                    self._wake_r.recv(4096)  # stop() or a signal
+            except Exception:  # noqa: BLE001 - one connection's bug
+                # must not stop the server for every other client
+                sys.excepthook(*sys.exc_info())
+                if conn is not None:
+                    self._close(conn)
+
+    def _run_deferred(self, fn: Any, *args: Any) -> None:
+        """Run a timer or shard drain; a failure is reported, and the
+        server keeps serving."""
+        try:
+            fn(*args)
+        except Exception:  # noqa: BLE001
+            sys.excepthook(*sys.exc_info())
+
+    def _call_later(self, delay: float, fn: Any) -> None:
+        self._timer_seq += 1
+        heapq.heappush(
+            self._timers, (time.monotonic() + delay, self._timer_seq, fn)
+        )
+
+    def _every(self, interval: float, fn: Any) -> None:
+        """Run *fn* every *interval* seconds, measured from the end of
+        the previous run."""
+
+        def tick() -> None:
+            try:
+                fn()
+            finally:
+                self._call_later(interval, tick)
+
+        self._call_later(interval, tick)
+
+    def _wake_shard(self, shard: int) -> None:
+        """A batch was queued on *shard*: drain it after this round, or
+        ``batch_window_s`` from now."""
+        if shard not in self._woken:
+            self._woken.add(shard)
+            if self.batch_window_s:
+                self._call_later(
+                    self.batch_window_s, lambda: self._flush_shard(shard)
+                )
+
+    def _flush_shard(self, shard: int) -> None:
+        self._woken.discard(shard)
+        self.registry.apply_shard(shard)
+
+    def _evaluate_rules(self) -> None:
+        """The WATCH tick: evaluate every rule.
+
+        Ticks on the monotonic clock but evaluates at the *injected*
         clock, so tests drive alert timing by advancing the synthetic
-        clock between (real, short) ticks.  Runs on the loop like every
-        request handler, so an evaluation never observes a half-applied
-        batch.
+        clock between (real, short) ticks.  It runs between requests
+        like everything else, so an evaluation never observes a
+        half-applied batch.
         """
-        assert self.watch_interval_s
-        while True:
-            await asyncio.sleep(self.watch_interval_s)
-            if len(self.rules):
-                self.rules.evaluate(self.registry, self._clock())
+        if len(self.rules):
+            self.rules.evaluate(self.registry, self._clock())
 
     def _write_snapshot(self) -> str:
         assert self.journal is not None and self.snapshot_path is not None
@@ -473,117 +660,146 @@ class QuantileService:
         self._m.snapshots.inc()
         return self.snapshot_path
 
-    # -- connection handling -----------------------------------------------
+    # -- connections -------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # e.g. out of file descriptors: retry later
+                return
+            sock.setblocking(False)
+            if sock.family != socket.AF_UNIX:
+                # an ack is a few bytes: without this each one waits on
+                # Nagle plus the peer's delayed ACK
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 sock.setsockopt(
                     socket.SOL_SOCKET, socket.SO_RCVBUF, SOCK_RCVBUF
                 )
             except OSError:  # pragma: no cover - platform-dependent cap
                 pass
-        m = self._m
-        m.connections_total.inc()
-        m.connections_open.inc()
-        inflight_bytes = 0  # queued-but-unapplied ingest payload
-        tail = b""  # partial frame carried across read chunks
+            conn = _Connection(sock)
+            self._conns.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._m.connections_total.inc()
+            self._m.connections_open.inc()
+
+    def _close(self, conn: "_Connection") -> None:
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._m.connections_open.inc(-1)
+
+    def _on_readable(self, conn: "_Connection") -> None:
         try:
-            while not self._draining:
-                try:
-                    chunk = await reader.read(READ_CHUNK)
-                except ConnectionError:
-                    break
-                if not chunk:
-                    break
-                # joining only costs when a frame straddled the previous
-                # chunk, and then only the straddle region is re-copied
-                data = tail + chunk if tail else chunk
-                n = len(data)
-                pos = 0
-                acks: List[bytes] = []
-                oversize = False
-                while n - pos >= 4:
-                    length = int.from_bytes(data[pos : pos + 4], "little")
-                    if length > protocol.MAX_FRAME_BYTES:
-                        acks.append(
-                            protocol.frame(
-                                protocol.encode_error(
-                                    f"frame length {length} exceeds limit"
-                                )
-                            )
+            chunk = conn.sock.recv(READ_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if not chunk:
+            self._close(conn)
+            return
+        parts = conn.parts
+        parts.append(chunk)
+        conn.have += len(chunk)
+        if conn.have < conn.need:
+            return  # a frame still incomplete: join once it is whole
+        # only a frame that straddled reads costs a join, one per frame
+        data = chunk if len(parts) == 1 else b"".join(parts)
+        parts.clear()
+        n = len(data)
+        pos = 0
+        acks: List[bytes] = []
+        oversize = False
+        while n - pos >= 4:
+            length = int.from_bytes(data[pos : pos + 4], "little")
+            if length > protocol.MAX_FRAME_BYTES:
+                acks.append(
+                    protocol.frame(
+                        protocol.encode_error(
+                            f"frame length {length} exceeds limit"
                         )
-                        oversize = True
-                        break
-                    if n - pos - 4 < length:
-                        break
-                    # zero-copy dispatch: the payload -- and, for
-                    # INGEST, its value array -- is a view into `data`
-                    payload = memoryview(data)[pos + 4 : pos + 4 + length]
-                    pos += 4 + length
-                    if length and payload[0] == protocol.Opcode.INGEST:
-                        inflight_bytes += length
-                    acks.append(protocol.frame(self._dispatch(payload)))
-                # a frame bigger than the read chunk can never complete
-                # inside the loop above: finish it with one exact read
-                if not oversize and n - pos >= 4:
-                    need = (
-                        4
-                        + int.from_bytes(data[pos : pos + 4], "little")
-                        - (n - pos)
                     )
-                    if need > READ_CHUNK:
-                        try:
-                            rest = await reader.readexactly(need)
-                        except (
-                            asyncio.IncompleteReadError,
-                            ConnectionError,
-                        ):
-                            rest = None
-                        if rest is None:
-                            if acks:
-                                m.record_coalesce(len(acks))
-                                writer.write(b"".join(acks))
-                                await writer.drain()
-                            break
-                        whole = data[pos:] + rest
-                        payload = memoryview(whole)[4:]
-                        if len(payload) and (
-                            payload[0] == protocol.Opcode.INGEST
-                        ):
-                            inflight_bytes += len(payload)
-                        acks.append(protocol.frame(self._dispatch(payload)))
-                        pos = n
-                tail = data[pos:] if pos < n else b""
-                if acks:
-                    m.record_coalesce(len(acks))
-                    writer.write(b"".join(acks))
-                    await writer.drain()
-                if oversize:
-                    break
-                if inflight_bytes >= self.max_inflight_bytes:
-                    # backpressure: this connection has pushed more
-                    # pending payload than allowed -- apply it before
-                    # reading (and thereby acking) anything further
-                    if self.registry.pending_batches():
-                        self.registry.apply_all()
-                        m.backpressure_flushes.inc()
-                    inflight_bytes = 0
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            m.connections_open.inc(-1)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+                )
+                oversize = True
+                break
+            if n - pos - 4 < length:
+                break
+            # zero-copy dispatch: the payload -- and, for INGEST, its
+            # value array -- is a view into `data`
+            payload = memoryview(data)[pos + 4 : pos + 4 + length]
+            pos += 4 + length
+            if length and payload[0] == protocol.Opcode.INGEST:
+                conn.inflight += length
+            acks.append(protocol.frame(self._dispatch(payload)))
+        if pos < n and not oversize:
+            parts.append(data[pos:])
+            conn.have = n - pos
+            conn.need = (
+                4 + int.from_bytes(data[pos : pos + 4], "little")
+                if n - pos >= 4
+                else 4
+            )
+        else:
+            conn.have = 0
+            conn.need = 4
+        if acks:
+            self._m.record_coalesce(len(acks))
+            self._send(conn, b"".join(acks))
+        if oversize:
+            conn.closing = True
+            if conn.out is None:
+                self._close(conn)
+            return
+        if conn.inflight >= self.max_inflight_bytes:
+            # backpressure: this connection has pushed more pending
+            # payload than allowed -- apply it before reading (and
+            # thereby acking) anything further
+            if self.registry.pending_batches():
+                self.registry.apply_all()
+                self._m.backpressure_flushes.inc()
+            conn.inflight = 0
+
+    def _send(self, conn: "_Connection", data: bytes) -> None:
+        try:
+            sent = conn.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent < len(data):
+            # the peer is not reading: hold the rest and stop reading
+            # this connection until it is flushed
+            conn.out = memoryview(data)[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _on_writable(self, conn: "_Connection") -> None:
+        try:
+            sent = conn.sock.send(conn.out)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(conn)
+            return
+        rest = conn.out[sent:]
+        if len(rest):
+            conn.out = rest
+            return
+        conn.out = None
+        if conn.closing:
+            self._close(conn)
+        else:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    # -- requests ----------------------------------------------------------
 
     def _dispatch(self, payload: bytes) -> bytes:
         try:
@@ -770,7 +986,7 @@ class QuantileService:
             ):
                 rebase = True
             else:
-                # safe mid-serve: one request runs per event-loop slot,
+                # safe mid-serve: the reactor runs one request at a time,
                 # and appends flush whole records, so the file holds a
                 # valid prefix ending at seq_now
                 scan = read_journal(journal_path)
@@ -866,14 +1082,14 @@ class QuantileService:
         m.ingest_elements[entry.shard].inc(arr.size)
         m.batch_size.observe(arr.size)
         self._recent.add(arr.size)
-        self._shard_events[entry.shard].set()
+        self._wake_shard(entry.shard)
         result = {"seq": seq, "count": int(arr.size)}
         self.registry.dedup.record(req.token, result)
         return result
 
 
 class ServerThread:
-    """A :class:`QuantileService` running on a background event loop.
+    """A :class:`QuantileService` serving on a background thread.
 
     The embedding used by tests, benchmarks and the example monitor::
 
@@ -888,10 +1104,7 @@ class ServerThread:
 
     def __init__(self, **service_kwargs: Any) -> None:
         self.service = QuantileService(**service_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
     @property
     def port(self) -> int:
@@ -902,46 +1115,37 @@ class ServerThread:
         return self.service.path
 
     def start(self, timeout: float = 10.0) -> "ServerThread":
+        started = threading.Event()
+        failure: List[BaseException] = []
+
+        def run() -> None:
+            try:
+                self.service.start()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                failure.append(exc)
+                return
+            finally:
+                started.set()
+            self.service.serve()
+
         self._thread = threading.Thread(
-            target=self._run, name="repro-service", daemon=True
+            target=run, name="repro-service", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout):
+        if not started.wait(timeout):
             raise StorageError("service failed to start within timeout")
-        if self._startup_error is not None:
-            raise self._startup_error
+        if failure:
+            raise failure[0]
         return self
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.service.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to starter
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
     def stop(self, *, graceful: bool = True, timeout: float = 10.0) -> None:
-        loop = self._loop
-        if loop is None or not loop.is_running():
+        thread = self._thread
+        if thread is None or not thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.stop(graceful=graceful), loop
-        )
-        try:
-            future.result(timeout)
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout)
+        self.service.stop(graceful=graceful)
+        thread.join(timeout)
+        if thread.is_alive():
+            raise StorageError("service failed to stop within timeout")
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -6,6 +6,9 @@
   node is not left ``syncing``.
 * ``remove-node`` of a node that is dead but still ``up`` in the
   manifest migrates its keys from the live replicas.
+* A re-sync from donors without a journal (no ``--data-dir``) installs
+  each metric once and verifies it, instead of re-installing until it
+  gives up.
 
 Every cluster here is a set of :class:`ServerThread` s behind a
 ``cluster.json`` written by the test, driven through the shell verbs.
@@ -251,6 +254,53 @@ def test_remove_dead_node_migrates_from_live_replicas(tmp_path, capsys):
             "owners; its process can be stopped now"
         ]
         assert_owners_exact(path)
+    finally:
+        for server in servers:
+            server.stop()
+
+
+def test_resync_from_donors_without_a_journal(tmp_path, capsys):
+    """3 ephemeral nodes, R=2: every SYNCPULL answers ``seq`` 0, so no
+    journal tail can follow the full install."""
+    servers = [ServerThread(n_shards=1, snapshot_interval_s=None)
+               for _ in range(3)]
+    for server in servers:
+        server.start()
+    try:
+        manifest = ClusterManifest(
+            nodes=[
+                NodeSpec(f"node-{i}", "127.0.0.1", s.port)
+                for i, s in enumerate(servers)
+            ],
+            replication=2,
+        )
+        path = str(tmp_path / "cluster.json")
+        manifest.save(path)
+        with ClusterClient(path) as client:
+            for i, name in enumerate(NAMES):
+                client.create(name, kind="fixed", eps=0.01, n=20_000)
+                client.ingest(name, values_of(i))
+            client.drain()
+        owned = [n for n in NAMES if "node-1" in manifest.ring().owners(n, 2)]
+        assert owned, "node-1 owns nothing; placement surprise"
+        with ServerThread(n_shards=1, snapshot_interval_s=None) as fresh:
+            code, out = cluster_cli(
+                capsys,
+                "resync",
+                "node-1",
+                "--endpoint",
+                f"127.0.0.1:{fresh.port}",
+                "--manifest",
+                path,
+            )
+            assert code == 0
+            after = ClusterManifest.load(path)
+            assert after.node("node-1").status == "up"
+            assert out[0].startswith(
+                f"node-1 re-synced at epoch {after.epoch}: {len(owned)} "
+                "metrics verified bit-identical"
+            )
+            assert_owners_exact(path)
     finally:
         for server in servers:
             server.stop()

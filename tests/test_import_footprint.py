@@ -3,8 +3,10 @@
 Every package ``__init__`` resolves its ``__all__`` on first attribute
 access (:mod:`repro._lazy`), and the CLI imports per command, so an
 idle ``repro serve`` loads the serving modules only -- not the client,
-the fault proxy, the cluster coordinator, the offline front-ends or
-``multiprocessing``.
+the fault proxy, the cluster coordinator, the offline front-ends,
+``multiprocessing``, or ``asyncio`` with the ``ssl`` and
+``concurrent.futures`` it pulls in (the server is a ``selectors``
+reactor).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 #: modules an idle ``repro serve`` must not import
 NOT_SERVED = [
+    "asyncio",
+    "ssl",
+    "concurrent.futures",
     "multiprocessing",
     "repro.api",
     "repro.core.parallel",
