@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """CI smoke: a real server's peak memory follows sketch state, not traffic.
 
-Three phases, each against a fresh ``python -m repro serve --data-dir``
+Four phases, each against a fresh ``python -m repro serve --data-dir``
 subprocess.  The first two fail on the growth of the server's peak
 resident set (``VmHWM`` in ``/proc/<pid>/status``) past its post-CREATE
-value; the third on what an idle server holds at all.
+value; the third on what an idle server holds at all; the fourth on
+what each small metric costs.
 
 **Receive chunks.**  The server decodes INGEST values as zero-copy views
 into whole socket reads (up to 256 KiB, or one frame that spans
@@ -31,14 +32,25 @@ is about 6 MiB, and an event-loop stack with its TLS and executor
 modules (``asyncio``, ``ssl``, ``concurrent.futures``) adds about 6
 more.  Limit: +9 MiB.
 
-The first two phases also fail if a metric's count is wrong.  Linux
+**Per-metric footprint.**  The paper's budget is the sketch's data; a
+metric should not cost much more than that in bookkeeping.  The phase
+CREATEs 2 000 metrics of each engine (paper, KLL, Frugal-2U), sends one
+64-value batch to each and drains, then divides the growth of
+``VmHWM`` over the listening server's by the 6 000 metrics.  Measured
+on a 2-vCPU x86_64 VM (Python 3.11): 1.74-1.75 KiB per metric before
+equal configs and the collapse policies were shared, the obs per-level
+counters made lazy, the sketch objects slotted and the banks' partition
+scratch allocated per call; 1.25-1.26 KiB after.  Limit: 1.5 KiB.
+
+Every phase but the idle one also fails if a metric's count is wrong.  Linux
 only (reads ``/proc``).  Exit code 0 on success.
 
 Usage::
 
     PYTHONPATH=src python scripts/memory_smoke.py [--port 7458]
 
-The second phase listens on ``port + 1``, the third on ``port + 2``.
+The second phase listens on ``port + 1``, the third on ``port + 2``,
+the fourth on ``port + 3``.
 """
 
 from __future__ import annotations
@@ -71,6 +83,10 @@ MAX_TINY_GROWTH_MIB = 10.0
 
 #: an idle server's VmHWM above a bare ``import numpy`` interpreter
 MAX_IDLE_GAP_MIB = 9.0
+
+#: metrics per engine in the footprint phase, and its per-metric limit
+N_PER_ENGINE = 2000
+MAX_KIB_PER_METRIC = 1.5
 
 _NUMPY_HWM = """
 import numpy
@@ -206,6 +222,38 @@ def idle_phase(port: int) -> float:
     return idle - floor
 
 
+def footprint_phase(port: int) -> float:
+    """VmHWM growth (KiB) per metric for 6 000 one-batch metrics."""
+    engines = ("paper", "kll", "frugal")
+    names = [f"mem/{eng}/{i}" for eng in engines for i in range(N_PER_ENGINE)]
+    batch = np.random.default_rng(2027).lognormal(size=SMALL)
+    with tempfile.TemporaryDirectory(prefix="repro-memory-") as data_dir:
+        proc = start_server(port, data_dir)
+        try:
+            base = peak_rss_mib(proc.pid)
+            with QuantileClient("127.0.0.1", port) as client:
+                for name in names:
+                    engine = name.split("/")[1]
+                    n = 10_000_000 if engine == "paper" else None
+                    client.create(name, eps=0.01, n=n, engine=engine)
+                for name in names:
+                    client.ingest_nowait(name, batch)
+                client.flush()
+                client.drain()
+                peak = peak_rss_mib(proc.pid)
+                for name in names[:: N_PER_ENGINE // 4]:
+                    assert client.describe(name)["n"] == SMALL, name
+        finally:
+            stop_server(proc)
+    per_metric = (peak - base) * 1024.0 / len(names)
+    print(
+        f"footprint phase: VmHWM {base:.1f} MiB listening, {peak:.1f} MiB "
+        f"with {len(names)} one-batch metrics ({per_metric:.2f} KiB per "
+        f"metric, limit {MAX_KIB_PER_METRIC:.1f} KiB)"
+    )
+    return per_metric
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--port", type=int, default=7458)
@@ -220,6 +268,9 @@ def main(argv=None) -> int:
         failed = True
     if idle_phase(args.port + 2) > MAX_IDLE_GAP_MIB:
         print("FAIL: an idle server holds modules it does not serve with")
+        failed = True
+    if footprint_phase(args.port + 3) > MAX_KIB_PER_METRIC:
+        print("FAIL: a small metric's bookkeeping outweighs its data")
         failed = True
     if failed:
         return 1

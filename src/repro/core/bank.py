@@ -144,9 +144,6 @@ class SketchBank:
         self.max_sketches = max_sketches
         self._kernels = kernels
         self._sketches: List[QuantileFramework] = []
-        # scratch reused across chunks by the partition step
-        self._scratch_ids = np.empty(0, dtype=np.int64)
-        self._scratch_vals = np.empty(0, dtype=np.float64)
         if n_sketches:
             self._materialize_through(n_sketches - 1)
 
@@ -306,15 +303,11 @@ class SketchBank:
             self._sketches[lo]._ingest_numeric(values_arr)
             return
         n = values_arr.size
-        if self._scratch_ids.size < n:
-            cap = max(n, 2 * self._scratch_ids.size)
-            self._scratch_ids = np.empty(cap, dtype=np.int64)
-            self._scratch_vals = np.empty(cap, dtype=np.float64)
+        # the partition is allocated per chunk: a scratch kept across
+        # chunks would pin the largest chunk ever drained
         order = np.argsort(ids_arr, kind="stable")
-        sorted_ids = self._scratch_ids[:n]
-        sorted_vals = self._scratch_vals[:n]
-        np.take(ids_arr, order, out=sorted_ids)
-        np.take(values_arr, order, out=sorted_vals)
+        sorted_ids = ids_arr[order]
+        sorted_vals = values_arr[order]
         bounds = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
         starts = np.concatenate(([0], bounds))
         stops = np.append(bounds, n)

@@ -81,6 +81,30 @@ class QuantileFramework:
         bit-identical either way.
     """
 
+    # One framework per metric in the service: slots keep the per-object
+    # cost at the fields themselves (no instance dict).
+    __slots__ = (
+        "b",
+        "k",
+        "policy",
+        "designed_n",
+        "strict_capacity",
+        "recorder",
+        "_kernels",
+        "_offsets",
+        "_full",
+        "_n",
+        "_n_collapses",
+        "_sum_collapse_weights",
+        "_mode",
+        "_remainder",
+        "_pending_scalars",
+        "_finished",
+        "_min",
+        "_max",
+        "_obs_stats",
+    )
+
     def __init__(
         self,
         b: int,
@@ -117,10 +141,14 @@ class QuantileFramework:
         self._sum_collapse_weights = 0
         self._mode: Optional[str] = None  # "numeric" | "generic"
         self._remainder: Any = None  # np.ndarray or list, matching mode
-        self._pending_scalars: List[Any] = []
+        # scalars from update(), created by the first one (bulk ingest
+        # never needs the list)
+        self._pending_scalars: Optional[List[Any]] = None
         self._finished = False
         self._min: Any = None  # exact stream extremes (O(1) bookkeeping)
         self._max: Any = None
+        #: per-sketch obs counters (repro.obs.hooks), attached on first use
+        self._obs_stats: Any = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -151,7 +179,8 @@ class QuantileFramework:
     @property
     def n(self) -> int:
         """Number of genuine elements ingested so far (pending included)."""
-        return self._n + len(self._pending_scalars)
+        pending = self._pending_scalars
+        return self._n + (len(pending) if pending else 0)
 
     @property
     def memory_elements(self) -> int:
@@ -197,8 +226,11 @@ class QuantileFramework:
 
     def update(self, value: Any) -> None:
         """Ingest a single element."""
-        self._pending_scalars.append(value)
-        if len(self._pending_scalars) >= _SCALAR_FLUSH:
+        pending = self._pending_scalars
+        if pending is None:
+            pending = self._pending_scalars = []
+        pending.append(value)
+        if len(pending) >= _SCALAR_FLUSH:
             self._flush_scalars()
 
     def extend(self, data: "Iterable[Any] | np.ndarray") -> None:
@@ -290,9 +322,10 @@ class QuantileFramework:
         return "numeric"
 
     def _flush_scalars(self) -> None:
-        if not self._pending_scalars:
+        pending = self._pending_scalars
+        if not pending:
             return
-        pending, self._pending_scalars = self._pending_scalars, []
+        self._pending_scalars = None
         if self._mode is None:
             self._mode = self._detect_mode(pending)
         if self._mode == "numeric":

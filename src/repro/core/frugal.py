@@ -149,9 +149,6 @@ class FrugalBank:
         self._n = np.zeros(cap, dtype=np.int64)
         self._min = np.full(cap, np.inf, dtype=np.float64)
         self._max = np.full(cap, -np.inf, dtype=np.float64)
-        # scratch reused across chunks by the partition step
-        self._scratch_ids = np.empty(0, dtype=np.int64)
-        self._scratch_vals = np.empty(0, dtype=np.float64)
         if n_sketches:
             self._count = n_sketches
 
@@ -355,15 +352,11 @@ class FrugalBank:
             self.extend_single(lo, values_arr, validated=True)
             return
         n = values_arr.size
-        if self._scratch_ids.size < n:
-            cap = max(n, 2 * self._scratch_ids.size)
-            self._scratch_ids = np.empty(cap, dtype=np.int64)
-            self._scratch_vals = np.empty(cap, dtype=np.float64)
+        # the partition is allocated per chunk: a scratch kept across
+        # chunks would pin the largest chunk ever drained
         order = np.argsort(ids_arr, kind="stable")
-        sorted_ids = self._scratch_ids[:n]
-        sorted_vals = self._scratch_vals[:n]
-        np.take(ids_arr, order, out=sorted_ids)
-        np.take(values_arr, order, out=sorted_vals)
+        sorted_ids = ids_arr[order]
+        sorted_vals = values_arr[order]
         bounds = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
         starts = np.concatenate(([0], bounds))
         stops = np.append(bounds, n)
@@ -584,6 +577,8 @@ class FrugalSketch:
     certified guarantee for O(1) state; pick the paper or KLL engine
     when a bound is required.
     """
+
+    __slots__ = ("_bank", "_row")
 
     def __init__(
         self,

@@ -42,6 +42,7 @@ relies on.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -74,11 +75,17 @@ _FINITE_MSG = (
     "+/-inf as padding sentinels and NaN has no rank"
 )
 
+#: the one empty level every sketch starts from and every emptied or new
+#: level points at: read-only, so no sketch can write into another's
+_EMPTY_LEVEL = np.empty(0, dtype=np.float64)
+_EMPTY_LEVEL.flags.writeable = False
+
 
 def _even_ceil(x: float) -> int:
     return 2 * int(math.ceil(x / 2.0))
 
 
+@functools.lru_cache(maxsize=256)
 def k_for_eps(eps: float, delta: float = 0.01) -> int:
     """Smallest even compactor width whose certified bound lands at eps*n.
 
@@ -97,6 +104,13 @@ def k_for_eps(eps: float, delta: float = 0.01) -> int:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
     k = _even_ceil(2.0 * math.sqrt(2.0 * math.log(2.0 / delta)) / eps)
     return max(k, _MIN_CAPACITY)
+
+
+@functools.lru_cache(maxsize=256)
+def _parity_base(seed: int) -> int:
+    """Base of the compaction-parity hash stream (one int per seed, shared
+    by every sketch with that seed)."""
+    return kernels.stream_seed(seed, 0)
 
 
 class KLLSketch:
@@ -119,6 +133,32 @@ class KLLSketch:
         Base of the deterministic compaction-parity hash stream.
     """
 
+    # One sketch per metric in the service: slots keep the per-object
+    # cost at the fields themselves.
+    __slots__ = (
+        "eps",
+        "k",
+        "delta",
+        "seed",
+        "_parity_base",
+        "_levels",
+        "_compactions",
+        "_n",
+        "_n_compactions",
+        "_s2",
+        "_min",
+        "_max",
+        "_obs_stats",
+        # ad-hoc instance attributes still work (the snapshot tests patch
+        # to_bytes on one live sketch); CPython makes the dict only when
+        # one is set, so it costs 32 B, not a dict
+        "__dict__",
+    )
+
+    #: capacity decay per level below the top, and the capacity floor
+    c = _DEFAULT_C
+    min_capacity = _MIN_CAPACITY
+
     def __init__(
         self,
         eps: float = 0.01,
@@ -140,12 +180,10 @@ class KLLSketch:
         self.eps = float(eps)
         self.k = k
         self.delta = float(delta)
-        self.c = _DEFAULT_C
-        self.min_capacity = _MIN_CAPACITY
         self.seed = int(seed)
-        self._parity_base = kernels.stream_seed(self.seed, 0)
+        self._parity_base = _parity_base(self.seed)
         #: per-level items in arrival order (level l items weigh 2**l)
-        self._levels: List[np.ndarray] = [np.empty(0, dtype=np.float64)]
+        self._levels: List[np.ndarray] = [_EMPTY_LEVEL]
         #: per-level compaction counts (the m_l of the bound)
         self._compactions: List[int] = [0]
         self._n = 0
@@ -153,6 +191,8 @@ class KLLSketch:
         self._s2 = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
+        #: per-sketch obs counters (repro.obs.hooks), attached on first use
+        self._obs_stats: Any = None
 
     # -- capacities --------------------------------------------------------
 
@@ -211,12 +251,18 @@ class KLLSketch:
         buf = arr if len(level0) == 0 else np.concatenate([level0, arr])
         self._levels[0] = buf
         self._settle()
-        # Engines copy what they keep: the residue left at level 0 may be
-        # the caller's array or a view into it (the server hands over
-        # zero-copy views of whole socket reads), so keep a private copy
-        # of just the residue -- never alias or pin ingest memory.
+        self._own_level0(arr)
+
+    def _own_level0(self, ingested: Optional[np.ndarray] = None) -> None:
+        """Engines copy what they keep: the residue left at level 0 may be
+        the caller's array or a view into it (the server hands over
+        zero-copy views of whole socket reads) or into a compacted block,
+        so keep a private copy of just the residue -- never alias or pin
+        ingest memory.  An empty residue is the shared empty level."""
         rest = self._levels[0]
-        if rest is arr or rest.base is not None:
+        if not len(rest):
+            self._levels[0] = _EMPTY_LEVEL
+        elif rest is ingested or rest.base is not None:
             self._levels[0] = rest.copy()
 
     def insert(self, value: float) -> None:
@@ -263,12 +309,13 @@ class KLLSketch:
             rest = items[cap:]
         else:
             if len(items) % 2:
-                # odd count: the newest item stays behind (no error)
+                # odd count: the newest item stays behind (no error); a
+                # copy, so the level does not pin the compacted array
                 block = items[:-1]
-                rest = items[-1:]
+                rest = items[-1:].copy()
             else:
                 block = items
-                rest = items[:0]
+                rest = _EMPTY_LEVEL
         self._levels[level] = rest
         block = np.sort(block)
         parity = (
@@ -282,7 +329,7 @@ class KLLSketch:
         self._compactions[level] += 1
         self._s2 += 4.0**level
         if level + 1 == len(self._levels):
-            self._levels.append(np.empty(0, dtype=np.float64))
+            self._levels.append(_EMPTY_LEVEL)
             self._compactions.append(0)
         nxt = self._levels[level + 1]
         self._levels[level + 1] = (
@@ -405,7 +452,7 @@ class KLLSketch:
         if other._n == 0:
             return self
         while len(self._levels) < len(other._levels):
-            self._levels.append(np.empty(0, dtype=np.float64))
+            self._levels.append(_EMPTY_LEVEL)
             self._compactions.append(0)
         for l, lvl in enumerate(other._levels):
             if len(lvl):
@@ -423,6 +470,7 @@ class KLLSketch:
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
         self._settle()
+        self._own_level0()
         return self
 
     # -- serialisation -----------------------------------------------------
@@ -498,7 +546,7 @@ class KLLSketch:
             count, m_l = _LEVEL_HEADER.unpack(rec)
             values = np.frombuffer(
                 _read_exact(fh, 8 * count, "kll level payload"), dtype="<f8"
-            ).copy()
+            ).copy() if count else _EMPTY_LEVEL
             sk._levels.append(values)
             sk._compactions.append(m_l)
             s2 += m_l * 4.0**l

@@ -64,6 +64,8 @@ class OffsetSelector:
     weakens the guarantee and measurably skews the output.
     """
 
+    __slots__ = ("mode", "_next_even_is_high")
+
     _MODES = ("alternate", "low", "high")
 
     def __init__(self, mode: str = "alternate") -> None:

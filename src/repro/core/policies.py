@@ -47,13 +47,17 @@ __all__ = [
 
 
 class CollapsePolicy:
-    """Base class for collapse policies.  Subclasses override the hooks."""
+    """Base class for collapse policies.  Subclasses override the hooks.
+
+    A policy is a pure function of the buffer set it is shown and holds
+    no per-stream state, so one instance serves every framework:
+    :func:`make_policy` hands out a shared one per policy.
+    """
+
+    __slots__ = ()
 
     #: short identifier used by :func:`make_policy` and the benchmarks
     name: str = "abstract"
-
-    def reset(self) -> None:
-        """Clear any per-stream state (called when a framework is reset)."""
 
     def level_for_new(self, full: Sequence[Buffer], b: int) -> int:
         """Level to assign to the next NEW buffer (default: 0)."""
@@ -86,6 +90,7 @@ class MunroPatersonPolicy(CollapsePolicy):
     preserving the spirit of pairing the cheapest merges first.
     """
 
+    __slots__ = ()
     name = "munro-paterson"
 
     def pre_new_collapse(
@@ -118,10 +123,8 @@ class AlsabtiRankaSinghPolicy(CollapsePolicy):
     pairwise (lightest first), which degrades accuracy but never deadlocks.
     """
 
+    __slots__ = ()
     name = "alsabti-ranka-singh"
-
-    def __init__(self) -> None:
-        super().__init__()
 
     @staticmethod
     def _leaves(full: Sequence[Buffer]) -> List[Buffer]:
@@ -179,6 +182,7 @@ class NewPolicy(CollapsePolicy):
     the set of buffers with level l.  Assign the output buffer level l+1."*
     """
 
+    __slots__ = ()
     name = "new"
 
     def level_for_new(self, full: Sequence[Buffer], b: int) -> int:
@@ -205,12 +209,15 @@ class NewPolicy(CollapsePolicy):
 
 POLICY_NAMES = ("new", "munro-paterson", "alsabti-ranka-singh")
 
+_NEW = NewPolicy()
+_MP = MunroPatersonPolicy()
+_ARS = AlsabtiRankaSinghPolicy()
 _POLICIES = {
-    "new": NewPolicy,
-    "munro-paterson": MunroPatersonPolicy,
-    "mp": MunroPatersonPolicy,
-    "alsabti-ranka-singh": AlsabtiRankaSinghPolicy,
-    "ars": AlsabtiRankaSinghPolicy,
+    "new": _NEW,
+    "munro-paterson": _MP,
+    "mp": _MP,
+    "alsabti-ranka-singh": _ARS,
+    "ars": _ARS,
 }
 
 
@@ -218,7 +225,8 @@ def make_policy(name_or_policy: "str | CollapsePolicy") -> CollapsePolicy:
     """Resolve a policy instance from a name (or pass an instance through).
 
     Accepted names: ``"new"``, ``"munro-paterson"`` (alias ``"mp"``) and
-    ``"alsabti-ranka-singh"`` (alias ``"ars"``).
+    ``"alsabti-ranka-singh"`` (alias ``"ars"``).  A name resolves to the
+    one shared instance of its policy (policies are stateless).
     """
     if isinstance(name_or_policy, CollapsePolicy):
         return name_or_policy
@@ -228,4 +236,4 @@ def make_policy(name_or_policy: "str | CollapsePolicy") -> CollapsePolicy:
             f"unknown collapse policy {name_or_policy!r}; "
             f"expected one of {sorted(set(_POLICIES))}"
         )
-    return _POLICIES[key]()
+    return _POLICIES[key]

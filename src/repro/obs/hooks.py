@@ -179,7 +179,12 @@ def _handles() -> _HotHandles:
 
 
 class SketchObsStats:
-    """Per-framework operation counts and the running certified bound."""
+    """Per-framework operation counts and the running certified bound.
+
+    The two per-level dicts are created by the first NEW / COLLAPSE they
+    count: a sketch that has only ingested (a KLL or a paper metric
+    whose first buffer is not yet full) pays for neither.
+    """
 
     __slots__ = (
         "new_by_level",
@@ -190,41 +195,62 @@ class SketchObsStats:
     )
 
     def __init__(self) -> None:
-        self.new_by_level: Dict[int, int] = {}
-        self.collapses_by_level: Dict[int, int] = {}
+        self.new_by_level: Optional[Dict[int, int]] = None
+        self.collapses_by_level: Optional[Dict[int, int]] = None
         self.outputs = 0
         self.elements = 0
         self.last_bound = 0.0
 
     @property
     def n_new(self) -> int:
-        return sum(self.new_by_level.values())
+        return sum(self.new_by_level.values()) if self.new_by_level else 0
 
     @property
     def n_collapses(self) -> int:
-        return sum(self.collapses_by_level.values())
+        by_level = self.collapses_by_level
+        return sum(by_level.values()) if by_level else 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "new_by_level": {str(k): v for k, v in sorted(self.new_by_level.items())},
-            "collapses_by_level": {
-                str(k): v for k, v in sorted(self.collapses_by_level.items())
-            },
+            "new_by_level": _by_level_dict(self.new_by_level),
+            "collapses_by_level": _by_level_dict(self.collapses_by_level),
             "outputs": self.outputs,
             "elements": self.elements,
             "certified_bound": self.last_bound,
         }
 
     def merge(self, other: "SketchObsStats") -> None:
-        for level, count in other.new_by_level.items():
-            self.new_by_level[level] = self.new_by_level.get(level, 0) + count
-        for level, count in other.collapses_by_level.items():
-            self.collapses_by_level[level] = (
-                self.collapses_by_level.get(level, 0) + count
-            )
+        self.new_by_level = _merged_counts(self.new_by_level, other.new_by_level)
+        self.collapses_by_level = _merged_counts(
+            self.collapses_by_level, other.collapses_by_level
+        )
         self.outputs += other.outputs
         self.elements += other.elements
         self.last_bound = max(self.last_bound, other.last_bound)
+
+
+def _by_level_dict(by_level: Optional[Dict[int, int]]) -> Dict[str, int]:
+    return {str(k): v for k, v in sorted(by_level.items())} if by_level else {}
+
+
+def _merged_counts(
+    mine: Optional[Dict[int, int]], theirs: Optional[Dict[int, int]]
+) -> Optional[Dict[int, int]]:
+    """*mine* plus *theirs*, level by level (made on first need)."""
+    if not theirs:
+        return mine
+    merged = {} if mine is None else mine
+    for level, count in theirs.items():
+        merged[level] = merged.get(level, 0) + count
+    return merged
+
+
+def _counted(by_level: Optional[Dict[int, int]], level: int) -> Dict[int, int]:
+    """*by_level* with one more at *level* (made on first need)."""
+    if by_level is None:
+        by_level = {}
+    by_level[level] = by_level.get(level, 0) + 1
+    return by_level
 
 
 def stats_for(fw: Any) -> SketchObsStats:
@@ -265,7 +291,7 @@ def collected_stats(sketch: Any) -> Optional[SketchObsStats]:
 def on_new(fw: Any, level: int) -> None:
     """A NEW placed one buffer at *level*."""
     stats = stats_for(fw)
-    stats.new_by_level[level] = stats.new_by_level.get(level, 0) + 1
+    stats.new_by_level = _counted(stats.new_by_level, level)
     hot = _handles()
     counter = hot.new_by_level.get(level)
     if counter is None:
@@ -292,9 +318,7 @@ def on_collapse(
     """
     level = result.level
     stats = stats_for(fw)
-    stats.collapses_by_level[level] = (
-        stats.collapses_by_level.get(level, 0) + 1
-    )
+    stats.collapses_by_level = _counted(stats.collapses_by_level, level)
     w_max = max((buf.weight for buf in fw._full), default=1)
     bound = (
         fw._sum_collapse_weights - fw._n_collapses - 1

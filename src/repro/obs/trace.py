@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from typing import IO, Any, Deque, List, Optional, Tuple, Union
+from typing import IO, Any, Deque, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "TraceEvent",
@@ -38,25 +37,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One observed framework operation plus the certified-bound state."""
+    """One observed framework operation plus the certified-bound state.
 
-    kind: str  #: "collapse" | "new" | "output"
-    sketch_id: int  #: id() of the framework (correlates events per sketch)
-    level: int  #: buffer level the operation acted on / produced
-    n: int  #: genuine elements ingested so far
-    n_collapses: int  #: C after the operation
-    sum_collapse_weights: int  #: W after the operation
-    w_max: int  #: heaviest surviving buffer after the operation
-    bound: float  #: Lemma 5 certified rank bound, in elements
-    weights: Tuple[int, ...] = ()  #: input buffer weights (collapse only)
-    out_weight: int = 0  #: collapse output weight (0 otherwise)
-    offset: int = 0  #: collapse offset (0 otherwise)
-    extra: dict = field(default_factory=dict)
+    Immutable, slotted, and nothing but its eleven fields: the trace
+    ring keeps 1024 of these alive in every observed process.
+    """
+
+    __slots__ = (
+        "kind",  #: "collapse" | "new" | "output"
+        "sketch_id",  #: id() of the framework (correlates events per sketch)
+        "level",  #: buffer level the operation acted on / produced
+        "n",  #: genuine elements ingested so far
+        "n_collapses",  #: C after the operation
+        "sum_collapse_weights",  #: W after the operation
+        "w_max",  #: heaviest surviving buffer after the operation
+        "bound",  #: Lemma 5 certified rank bound, in elements
+        "weights",  #: input buffer weights (collapse only)
+        "out_weight",  #: collapse output weight (0 otherwise)
+        "offset",  #: collapse offset (0 otherwise)
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        sketch_id: int,
+        level: int,
+        n: int,
+        n_collapses: int,
+        sum_collapse_weights: int,
+        w_max: int,
+        bound: float,
+        weights: Tuple[int, ...] = (),
+        out_weight: int = 0,
+        offset: int = 0,
+    ) -> None:
+        values = (
+            kind, sketch_id, level, n, n_collapses, sum_collapse_weights,
+            w_max, bound, weights, out_weight, offset,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"TraceEvent is immutable (set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TraceEvent is immutable (delete {name!r})")
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"TraceEvent({body})"
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class TraceRing:

@@ -383,6 +383,12 @@ class ChaosProxy:
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below returns at once
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover

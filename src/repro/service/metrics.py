@@ -120,12 +120,9 @@ def _obs_section(
         }
         stats = obs_hooks.collected_stats(sketch)
         if stats is not None:
-            detail["collapses_by_level"] = {
-                str(k): v for k, v in sorted(stats.collapses_by_level.items())
-            }
-            detail["new_by_level"] = {
-                str(k): v for k, v in sorted(stats.new_by_level.items())
-            }
+            counts = stats.to_dict()
+            detail["collapses_by_level"] = counts["collapses_by_level"]
+            detail["new_by_level"] = counts["new_by_level"]
         metrics_detail.append(detail)
     op_latency = {
         dict(labels)["op"]: sketch.percentiles()

@@ -494,6 +494,9 @@ class SketchRegistry:
         self.n_shards = n_shards
         self._shards = [_Shard() for _ in range(n_shards)]
         self._metrics: Dict[str, MetricEntry] = {}
+        #: one object per distinct config: a fleet of metrics made alike
+        #: shares a handful of configs (and the sketches their fields)
+        self._configs: Dict[MetricConfig, MetricConfig] = {}
         #: timestamp source for windowed metrics (injectable for tests
         #: and the server's synthetic-clock mode)
         self.clock: Callable[[], float] = clock or time.time
@@ -587,6 +590,9 @@ class SketchRegistry:
                     f"{existing.config}, requested {config}"
                 )
             return existing, False
+        # intern before building, so the sketch's fields come from the
+        # kept config and not from a copy about to be dropped
+        config = self._configs.setdefault(config, config)
         sketch = self._build_sketch(shard_of(name, self.n_shards), config)
         return self._register(name, config, sketch), True
 
@@ -663,6 +669,7 @@ class SketchRegistry:
     def _register(
         self, name: str, config: MetricConfig, sketch: Sketch
     ) -> MetricEntry:
+        config = self._configs.setdefault(config, config)
         shard_idx = shard_of(name, self.n_shards)
         bank_id: Optional[int] = None
         if config.windowed:
@@ -894,7 +901,7 @@ class SketchRegistry:
             levels: Dict[int, int] = {}
             for e in entries:
                 obs_stats = obs_hooks.collected_stats(e.sketch)
-                if obs_stats is not None:
+                if obs_stats is not None and obs_stats.collapses_by_level:
                     for lvl, cnt in obs_stats.collapses_by_level.items():
                         levels[lvl] = levels.get(lvl, 0) + cnt
             if levels:

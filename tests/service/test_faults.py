@@ -103,6 +103,18 @@ class TestFaultSchedule:
 
 
 class TestProxyTransparent:
+    def test_stop_returns_at_once(self, server):
+        # stop() must wake the thread blocked in accept(), not wait out
+        # the join timeout
+        proxy = ChaosProxy("127.0.0.1", server.port).start()
+        with resilient_client(proxy.port) as client:
+            client.create("t/m", kind="adaptive", eps=0.02)
+        t0 = time.monotonic()
+        proxy.stop()
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, f"stop took {elapsed:.2f} s"
+        assert not proxy._accept_thread.is_alive()
+
     def test_passthrough_end_to_end(self, server):
         with ChaosProxy("127.0.0.1", server.port) as proxy:
             with resilient_client(proxy.port) as client:
