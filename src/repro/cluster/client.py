@@ -31,10 +31,12 @@ Failover
 
 Certified fan-in (the paper's §4.9 recombination)
     :meth:`ClusterClient.fetch_merged` pulls one serialised summary per
-    metric -- each from its senior live replica -- and folds them with
-    :func:`repro.core.serialize.merge_serialized`.  The merged collapse
-    forest still satisfies Lemma 5 (Hoeffding accounting for KLL), so
-    ``query_merged`` returns values *with a certified bound* for the
+    metric -- each from its senior live replica -- and merges them with
+    :func:`repro.core.serialize.merge_serialized`: paper summaries
+    concatenate their root buffers under one OUTPUT, and the bound is
+    §4.9's concat bound (Lemma 5 over their forest), not the bound of
+    an ``absorb`` fold; KLL summaries add their Hoeffding accounting.
+    So ``query_merged`` returns values *with a certified bound* for the
     union stream.  Engine disagreement between nodes surfaces as
     :class:`~repro.cluster.errors.ReplicaEngineMismatchError` naming
     each node and its engine tag (via :func:`merge_tagged`), not as a
@@ -71,9 +73,9 @@ _TRANSPORT_ERRORS = (ServiceConnectionError, ServiceTimeoutError)
 def merge_tagged(
     tagged: Sequence[Tuple[str, bytes]], *, metric: str = "<fan-in>"
 ) -> Any:
-    """Fold ``(node_id, payload)`` pairs with the §4.9 recombination.
+    """Merge ``(node_id, payload)`` pairs with the §4.9 recombination.
 
-    Same fold as :func:`repro.core.serialize.merge_serialized` -- and
+    Same merge as :func:`repro.core.serialize.merge_serialized` -- and
     deterministic in the given order -- but engine agreement is checked
     *first*, against the node ids, so a mixed-engine fan-in fails with
     :class:`ReplicaEngineMismatchError` naming every node and its
@@ -492,9 +494,10 @@ class ClusterClient:
 
         Pulls exactly one payload per metric (from its senior live
         replica -- replicas are copies, so including a second one would
-        double-count) and folds them in the order given.  The fold is
-        the paper's §4.9 recombination: the merged ``error_bound()``
-        remains certified for the combined stream.  Mixed engines raise
+        double-count) and merges them in the order given, by the
+        paper's §4.9 recombination: one OUTPUT over the concatenated
+        root buffers, whose ``error_bound()`` is the concat bound for
+        the combined stream.  Mixed engines raise
         :class:`ReplicaEngineMismatchError` naming the node each
         payload came from.
         """

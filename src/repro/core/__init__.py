@@ -47,7 +47,7 @@ __all__ = [
     "load",
     "loads",
     "ParallelQuantileEngine",
-    "merge_frameworks",
+    "recombine",
     "SketchProtocol",
     "DESCRIBE_PHIS",
     "describe_dict",
@@ -121,7 +121,7 @@ __getattr__, __dir__ = attach(
             "output",
             "weighted_select",
         ],
-        "parallel": ["ParallelQuantileEngine", "merge_frameworks"],
+        "parallel": ["ParallelQuantileEngine", "recombine"],
         "protocols": ["DESCRIBE_PHIS", "SketchProtocol", "describe_dict"],
         "parameters": [
             "ClosedFormStats",
@@ -190,7 +190,7 @@ if TYPE_CHECKING:
         output,
         weighted_select,
     )
-    from .parallel import ParallelQuantileEngine, merge_frameworks
+    from .parallel import ParallelQuantileEngine, recombine
     from .protocols import DESCRIBE_PHIS, SketchProtocol, describe_dict
     from .parameters import (
         ClosedFormStats,

@@ -11,7 +11,8 @@ provides a deterministic bridge built entirely from the 1998 machinery:
   ``(stage_epsilon, c_j)``;
 * when a stage fills, its surviving buffers are collapsed down to one
   (freeing all but ``k_j`` elements) and the next, larger stage opens;
-* queries OUTPUT over the union of every stage's buffers -- the
+* queries OUTPUT over the union of every stage's buffers
+  (:func:`~repro.core.parallel.recombine`) -- the
   :func:`~repro.core.operations.weighted_select` primitive never needed
   equal buffer sizes, only COLLAPSE does, so cross-stage reads are exact.
 
@@ -45,9 +46,8 @@ import numpy as np
 
 from . import serialize
 from .buffer import Buffer
-from .errors import ConfigurationError, EmptySummaryError, StorageError
+from .errors import ConfigurationError, StorageError
 from .framework import QuantileFramework
-from .operations import output
 from .parameters import ParameterPlan, optimal_parameters
 from .serialize import _Reader, _StreamReader
 
@@ -69,42 +69,28 @@ _F64 = struct.Struct("<d")
 _STAGE_FRACTION = 0.25
 
 
-class _ClosedStage:
-    """A filled stage: one surviving buffer + its tree statistics."""
-
-    __slots__ = ("buffers", "n", "n_collapses", "sum_collapse_weights")
-
-    def __init__(self, fw: QuantileFramework) -> None:
-        fw.finish([0.5])  # flush the tail; record OUTPUT
-        # Collapse all surviving buffers into one to free memory; the
-        # extra collapse is accounted in the certified statistics.
-        while len(fw.full_buffers) > 1:
-            group = fw._full[:]
-            fw._do_collapse(group)
-        self.buffers = fw.full_buffers
-        self.n = fw.n
-        self.n_collapses = fw.n_collapses
-        self.sum_collapse_weights = fw.sum_collapse_weights
-
-    @classmethod
-    def read(cls, r: _Reader) -> "_ClosedStage":
-        """Read one closed stage of the stage container at *r*."""
-        stage = cls.__new__(cls)
-        stage.n, stage.n_collapses, stage.sum_collapse_weights, count = (
-            _STAGE_HEADER.unpack(r.take(_STAGE_HEADER.size, "stage header"))
+def _read_stage(r: _Reader) -> QuantileFramework:
+    """Read one closed stage of the stage container at *r*."""
+    n, n_collapses, sum_weights, count = _STAGE_HEADER.unpack(
+        r.take(_STAGE_HEADER.size, "stage header")
+    )
+    buffers = []
+    for _ in range(count):
+        weight, level, n_low, n_high, n_values = _BUFFER_HEADER.unpack(
+            r.take(_BUFFER_HEADER.size, "stage buffer header")
         )
-        stage.buffers = []
-        for _ in range(count):
-            weight, level, n_low, n_high, n_values = _BUFFER_HEADER.unpack(
-                r.take(_BUFFER_HEADER.size, "stage buffer header")
+        values = r.f64_array(n_values, "stage buffer values")
+        if n_low + n_high > n_values:
+            raise StorageError(
+                "corrupt adaptive sketch: pad counts exceed buffer size"
             )
-            values = r.f64_array(n_values, "stage buffer values")
-            if n_low + n_high > n_values:
-                raise StorageError(
-                    "corrupt adaptive sketch: pad counts exceed buffer size"
-                )
-            stage.buffers.append(Buffer(values, weight, level, n_low, n_high))
-        return stage
+        buffers.append(Buffer(values, weight, level, n_low, n_high))
+    fw = QuantileFramework(max(2, count), len(buffers[0]) if buffers else 1)
+    fw._full, fw._mode = buffers, "numeric"
+    fw._n, fw._n_collapses, fw._sum_collapse_weights = (
+        n, n_collapses, sum_weights
+    )
+    return fw
 
 
 class AdaptiveQuantileSketch:
@@ -157,7 +143,8 @@ class AdaptiveQuantileSketch:
         self.initial_capacity = int(initial_capacity)
         self.stage_epsilon = epsilon * _STAGE_FRACTION
         self._kernels = kernels
-        self._closed: List[_ClosedStage] = []
+        #: retired stages, each a finished framework holding one buffer
+        self._closed: List[QuantileFramework] = []
         self._capacity = int(initial_capacity)
         self._active = self._new_stage(self._capacity)
         self._active_n = 0
@@ -191,7 +178,7 @@ class AdaptiveQuantileSketch:
     def memory_elements(self) -> int:
         """Current element footprint: closed-stage buffers + live stage."""
         frozen = sum(
-            len(buf.values) for s in self._closed for buf in s.buffers
+            len(buf.values) for s in self._closed for buf in s._full
         )
         return frozen + self._active.memory_elements
 
@@ -201,14 +188,23 @@ class AdaptiveQuantileSketch:
 
     def _roll_stage(self) -> None:
         rolled = self._active
-        self._closed.append(_ClosedStage(rolled))
+        rolled.finish([0.5])
+        # one surviving buffer frees all but k elements; the extra
+        # collapse counts in the stage's certified statistics
+        while len(rolled._full) > 1:
+            rolled._do_collapse(rolled._full[:])
+        # the stage container stores no per-stage extremes: drop them,
+        # so a sketch answers the same before and after a round trip
+        rolled._min = rolled._max = None
+        self._closed.append(rolled)
         # keep the retired stage's observability counts: merge them into
-        # sketch-level totals before the framework is dropped
-        stats = getattr(rolled, "_obs_stats", None)
+        # sketch-level totals
+        stats = rolled._obs_stats
         if stats is not None:
             from ..obs.hooks import stats_for
 
             stats_for(self).merge(stats)
+            rolled._obs_stats = None
         self._capacity *= 2
         self._active = self._new_stage(self._capacity)
         self._active_n = 0
@@ -237,18 +233,15 @@ class AdaptiveQuantileSketch:
 
     # -- queries -----------------------------------------------------------
 
-    def _all_buffers(self):
-        buffers = [buf for s in self._closed for buf in s.buffers]
-        buffers.extend(self._active._snapshot_buffers())
-        return buffers
+    def _recombined(self) -> QuantileFramework:
+        """Every stage recombined under one OUTPUT (read-only)."""
+        from .parallel import recombine
+
+        return recombine([*self._closed, self._active])
 
     def quantiles(self, phis: Sequence[float]) -> List[float]:
         """Approximate quantiles of everything seen so far."""
-        if self.n == 0:
-            raise EmptySummaryError("no elements have been ingested")
-        return output(
-            self._all_buffers(), list(phis), self.n, use_kernels=self._kernels
-        )
+        return self._recombined().quantiles(phis)
 
     def query(self, phi: float) -> float:
         return self.quantiles([phi])[0]
@@ -261,7 +254,7 @@ class AdaptiveQuantileSketch:
         """Summary dict: n, extremes, key quantiles, certified bound."""
         from .protocols import describe_dict
 
-        return describe_dict(self)
+        return describe_dict(self._recombined())
 
     def median(self) -> float:
         return self.query(0.5)
@@ -272,12 +265,7 @@ class AdaptiveQuantileSketch:
         Same counting argument as the fixed-N framework; the certified
         bound of :meth:`error_bound` covers this estimate too.
         """
-        if self.n == 0:
-            raise EmptySummaryError("no elements have been ingested")
-        from .operations import weighted_rank
-
-        _below, below_eq = weighted_rank(self._all_buffers(), value)
-        return min(below_eq, self.n)
+        return self._recombined().rank(value)
 
     def cdf(self, value: Any) -> Any:
         """Approximate fraction of elements ``<=`` *value*.
@@ -285,9 +273,7 @@ class AdaptiveQuantileSketch:
         Accepts a scalar (returns one float) or a sequence (list of
         floats).
         """
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return [self.rank(v) / self.n for v in value]
-        return self.rank(value) / self.n
+        return self._recombined().cdf(value)
 
     # -- guarantees ------------------------------------------------------------
 
@@ -296,31 +282,9 @@ class AdaptiveQuantileSketch:
 
         Per-tree deficits ``(W_j - C_j + 1)/2`` add across stages; the
         ``w_max`` term appears once, for the heaviest buffer the final
-        OUTPUT reads.
+        OUTPUT reads (:func:`~repro.core.parallel.recombine`).
         """
-        deficit = 0.0
-        w_max = 1
-        any_collapse = False
-        stages = [
-            (s.n_collapses, s.sum_collapse_weights, s.buffers)
-            for s in self._closed
-        ]
-        stages.append(
-            (
-                self._active.n_collapses,
-                self._active.sum_collapse_weights,
-                self._active.full_buffers,
-            )
-        )
-        for n_collapses, sum_weights, buffers in stages:
-            if n_collapses:
-                any_collapse = True
-                deficit += (sum_weights - n_collapses + 1) / 2.0
-            for buf in buffers:
-                w_max = max(w_max, buf.weight)
-        if not any_collapse:
-            return 0.0
-        return deficit + w_max - 1
+        return self._recombined().error_bound() if self.n else 0.0
 
     def error_bound_fraction(self) -> float:
         """Certified rank bound as a fraction of elements seen."""
@@ -366,8 +330,8 @@ class AdaptiveQuantileSketch:
         out.write(_HEADER.pack(*head, len(self._closed)))
         for stage in self._closed:
             stats = (stage.n, stage.n_collapses, stage.sum_collapse_weights)
-            out.write(_STAGE_HEADER.pack(*stats, len(stage.buffers)))
-            for buf in stage.buffers:
+            out.write(_STAGE_HEADER.pack(*stats, len(stage._full)))
+            for buf in stage._full:
                 values = np.ascontiguousarray(buf.values, dtype="<f8")
                 head = (buf.weight, buf.level, buf.n_low_pad, buf.n_high_pad)
                 out.write(_BUFFER_HEADER.pack(*head, values.size))
@@ -401,7 +365,7 @@ class AdaptiveQuantileSketch:
         ):
             raise StorageError("corrupt adaptive sketch: stage schedule")
         try:
-            closed = [_ClosedStage.read(r) for _ in range(n_closed)]
+            closed = [_read_stage(r) for _ in range(n_closed)]
             live = serialize.loads(r.take(r.u32("live size"), "live stage"))
             sk = cls(
                 epsilon,
@@ -420,9 +384,9 @@ class AdaptiveQuantileSketch:
         for j, stage in enumerate(self._closed):
             n = self.initial_capacity << j
             k = self._plan(n).k if stage.n == n else 0
-            weight = sum(buf.weight for buf in stage.buffers)
+            weight = sum(buf.weight for buf in stage._full)
             if not k or weight != -(-n // k) or any(
-                len(buf) != k for buf in stage.buffers
+                len(buf) != k for buf in stage._full
             ):
                 raise StorageError(f"corrupt adaptive sketch: stage {j}")
         live, plan = self._active, self._plan(self._capacity)
@@ -437,7 +401,7 @@ class AdaptiveQuantileSketch:
         # OUTPUT reads a genuine element; ingest always stores one
         if self.n and all(
             len(buf) == buf.n_low_pad + buf.n_high_pad
-            for buf in self._all_buffers()
+            for buf in self._recombined().full_buffers
         ):
             raise StorageError("corrupt adaptive sketch: only pads stored")
 

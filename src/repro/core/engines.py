@@ -39,7 +39,7 @@ See docs/api.md for the engine-selection table with measured numbers
 
 from __future__ import annotations
 
-from typing import Any, BinaryIO, Callable, Dict, NamedTuple, Tuple
+from typing import Any, BinaryIO, Callable, Dict, NamedTuple, Sequence, Tuple
 
 from . import serialize
 from .adaptive import ADAPTIVE_MAGIC, AdaptiveQuantileSketch
@@ -59,6 +59,7 @@ __all__ = [
     "loads_any",
     "load_any_from",
     "dumps_any",
+    "merge_summaries",
 ]
 
 DEFAULT_ENGINE = "paper"
@@ -69,7 +70,7 @@ class EngineSpec(NamedTuple):
 
     name: str
     magic: bytes
-    #: summaries combine via ``absorb`` with the guarantee preserved
+    #: summaries combine (``merge_summaries``) with the guarantee preserved
     mergeable: bool
     #: ``error_bound()`` is a certified bound (not ``inf``)
     certified: bool
@@ -267,3 +268,31 @@ def dumps_any(sketch: Any) -> bytes:
         ):
             sketch = inner
     return ENGINES[name].dumps(sketch)
+
+
+def merge_summaries(summaries: Sequence[Any]) -> Any:
+    """One summary of the same-engine *summaries*; none of them changes.
+
+    The query-time merge of both a window query and ``merge_serialized``,
+    so the two agree by construction.  Paper frameworks recombine under
+    one OUTPUT (§4.9, :func:`~repro.core.parallel.recombine`); KLL
+    sketches absorb into a fresh sketch; a lone summary of another
+    engine comes back as it is; rings fold into a copy of the first.
+    """
+    first, rest = summaries[0], summaries[1:]
+    if isinstance(first, QuantileFramework):
+        from .parallel import recombine
+
+        return recombine(summaries)
+    if isinstance(first, KLLSketch):
+        merged = KLLSketch(
+            first.eps, k=first.k, delta=first.delta, seed=first.seed
+        )
+        rest = summaries
+    elif not rest:
+        return first
+    else:
+        merged = loads_any(dumps_any(first))
+    for sketch in rest:
+        merged.absorb(sketch)
+    return merged

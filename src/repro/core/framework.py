@@ -489,7 +489,10 @@ class QuantileFramework:
         if _obs.ENABLED:
             _obs.on_output(self, len(answers))
         # the stream extremes are tracked exactly (O(1)); answer the end
-        # points with them rather than the summary's approximation
+        # points with them rather than the summary's approximation.  A
+        # recombination over adaptive stages knows no exact extremes.
+        if self._min is None:
+            return answers
         for i, phi in enumerate(phis):
             if phi == 0.0:
                 answers[i] = self._min

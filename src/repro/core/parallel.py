@@ -21,62 +21,97 @@ Two execution backends are provided:
     partition, fed chunks through a pipe.  Queries snapshot every worker
     -- the worker returns its summary in the safe binary format of
     :mod:`repro.core.serialize` (never pickled framework objects) -- and
-    the parent merges the deserialised summaries through the very same
-    root-buffer concatenation / OUTPUT path as the sync backend, so the
-    certified Lemma 5 accounting is byte-for-byte the one the sequential
-    analysis already covers.  Snapshots do not disturb the workers:
-    ingest may continue after a query.  The process backend accepts
+    the parent recombines the deserialised summaries exactly as the sync
+    backend recombines its live workers, so both backends answer
+    bit-identically.  The process backend accepts
     numeric streams only (the wire format stores float64 buffers) and
     named collapse policies (the policy must be reconstructible in the
     worker process).
 
-In either case the error analysis applies unchanged: the combined tree is
-just a forest whose roots are merged under one OUTPUT node, and the
-certified bound is derived from the summed ``W``/``C`` statistics and the
-heaviest surviving buffer, exactly as in Lemma 5 (whose proof only needs
+In either case a query reads the workers through :func:`recombine` and
+never changes them, so ingest may continue after any query.  The
+combined tree is a forest whose roots meet under one OUTPUT node, and
+the certified bound is Lemma 5 over that forest (whose proof only needs
 leaves of weight one and internal nodes with at least two children).
+:func:`recombine` is also the query-time merge of every other set of
+paper summaries: window buckets, cluster fan-in, adaptive stages.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Any, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import serialize
-from .buffer import Buffer
 from .errors import ConfigurationError, EmptySummaryError, WorkerError
 from .framework import QuantileFramework
-from .operations import OffsetSelector, collapse, output
 
-__all__ = ["ParallelQuantileEngine", "merge_frameworks"]
+__all__ = ["ParallelQuantileEngine", "recombine"]
 
 _BACKENDS = ("sync", "process")
 
 
-def merge_frameworks(
-    workers: Sequence[QuantileFramework],
-    phis: Sequence[float],
-) -> List[Any]:
-    """Final OUTPUT over the concatenated root buffers of *workers*.
+def recombine(
+    summaries: Iterable[QuantileFramework],
+    *,
+    combine_fanin: Optional[int] = None,
+) -> QuantileFramework:
+    """One summary over the root buffers of *summaries* (Section 4.9).
 
-    Every worker flushes its staged tail (as a real padded buffer) and
-    contributes its full buffers; a single weighted OUTPUT over the union
-    answers all quantiles.  This is the moderate-parallelism path of
-    Section 4.9 (one final phase on a single node).
+    Each input contributes its full buffers and, as a temporary padded
+    buffer, its staged tail (``_snapshot_buffers``), so no input
+    changes.  The result is a plain framework whose ``b`` is the buffer
+    count; one weighted OUTPUT over the concatenation answers its
+    queries, and it re-serialises like any summary.  ``n``, ``W`` and
+    ``C`` add; exact extremes combine when every input has them.
+    *combine_fanin* (>= 2, the >100-node regime) first COLLAPSEs
+    consecutive groups of at most that many buffers on the result's own
+    offset alternation, counted in ``W`` and ``C``.
+
+    ``error_bound()`` is Lemma 5 over the forest of ``T`` collapsed
+    trees, ``sum_j (W_j - C_j + 1)/2 + w_max - 1`` (DESIGN.md, §4.9):
+    each tree's own offset alternation may leave one even-weight half
+    rank unmatched.  ``W`` carries the ``T - 1`` extra halves as ``T -
+    1`` units, so the single-tree ``(W - C - 1)/2 + w_max`` -- and the
+    wire format -- report that bound.  Inputs of different ``k``
+    recombine, but cannot pre-combine or serialise.
     """
-    buffers: List[Buffer] = []
-    n_total = 0
-    for fw in workers:
-        if fw.n == 0:
-            continue
-        fw.finish(phis=[0.5])  # flush tail + record OUTPUT locally
-        buffers.extend(fw.full_buffers)
-        n_total += fw.n
-    if n_total == 0:
-        raise EmptySummaryError("no worker ingested any elements")
-    return output(buffers, list(phis), n_total)
+    if combine_fanin is not None and combine_fanin < 2:
+        raise ConfigurationError("combine_fanin must be >= 2")
+    inputs = [fw for fw in summaries if fw.n]
+    if not inputs:
+        raise EmptySummaryError("no elements have been ingested")
+    first = inputs[0]
+    out = QuantileFramework(
+        2,
+        max(fw.k for fw in inputs),
+        policy=first.policy,
+        offset_mode=first._offsets.mode,
+        kernels=first._kernels,
+    )
+    out._full = [buf for fw in inputs for buf in fw._snapshot_buffers()]
+    out._n = sum(fw.n for fw in inputs)
+    out._n_collapses = sum(fw.n_collapses for fw in inputs)
+    out._sum_collapse_weights = sum(fw.sum_collapse_weights for fw in inputs)
+    out._mode = first._mode
+    trees = sum(1 for fw in inputs if fw.n_collapses)
+    if combine_fanin is not None:
+        roots = out._full
+        groups = [
+            roots[i : i + combine_fanin]
+            for i in range(0, len(roots), combine_fanin)
+        ]
+        collapsed = [group for group in groups if len(group) > 1]
+        for group in collapsed:
+            out._do_collapse(group)
+        trees += bool(collapsed)
+    out._sum_collapse_weights += max(trees - 1, 0)
+    out.b = max(2, len(out._full))
+    if all(fw._min is not None for fw in inputs):
+        out._min = min(fw._min for fw in inputs)
+        out._max = max(fw._max for fw in inputs)
+    return out
 
 
 def _worker_main(
@@ -149,9 +184,9 @@ class ParallelQuantileEngine:
         and the final OUTPUT (``None`` follows the global switch).
     combine_fanin:
         When set (the >100-node regime of Section 4.9), worker root
-        buffers are first merged in groups of at most this many workers by
-        intermediate COLLAPSE operations before the final OUTPUT, bounding
-        the fan-in of the last node.
+        buffers are first merged in groups of at most this many buffers
+        by intermediate COLLAPSE operations before the final OUTPUT,
+        bounding the fan-in of the last node (see :func:`recombine`).
     backend:
         ``"sync"`` (sequential in-process workers, the default) or
         ``"process"`` (one OS process per worker; see the module
@@ -218,9 +253,10 @@ class ParallelQuantileEngine:
         self.combine_fanin = combine_fanin
         self._kernels = kernels
         self._rr = 0
-        self._offsets = OffsetSelector(offset_mode)
         self._closed = False
         if backend == "process":
+            import multiprocessing
+
             self.workers: List[QuantileFramework] = []
             self._n_dispatched = 0
             ctx = multiprocessing.get_context()
@@ -368,45 +404,29 @@ class ParallelQuantileEngine:
                 raise WorkerError(f"worker {i} died: {exc}") from exc
             if status != "ok":
                 raise WorkerError(f"worker {i} failed: {payload}")
-            frameworks.append(serialize.loads(payload))
+            fw = serialize.loads(payload)
+            fw._kernels = self._kernels
+            frameworks.append(fw)
         return frameworks
 
-    def _frameworks(self) -> List[QuantileFramework]:
-        """The worker summaries a query should read.
+    def _recombined(self) -> QuantileFramework:
+        """The workers' summaries recombined under one OUTPUT.
 
-        Sync backend: the live worker objects (queries flush their tails
-        in place, as before).  Process backend: deserialised snapshots --
-        the remote workers keep streaming undisturbed.
+        Sync backend: the live worker objects; process backend:
+        deserialised snapshots.  Neither is changed by the read.
         """
         if self.backend == "process":
             self._require_open()
-            return self._snapshot()
-        return self.workers
-
-    @staticmethod
-    def _collect_buffers(frameworks: Sequence[QuantileFramework]) -> List[Buffer]:
-        buffers: List[Buffer] = []
-        for fw in frameworks:
-            if fw.n == 0:
-                continue
-            fw.finish(phis=[0.5])
-            buffers.extend(fw.full_buffers)
-        return buffers
+            workers = self._snapshot()
+        else:
+            workers = self.workers
+        return recombine(workers, combine_fanin=self.combine_fanin)
 
     # -- queries -----------------------------------------------------------
 
     def quantiles(self, phis: Sequence[float]) -> List[Any]:
-        """Gather root buffers (optionally pre-combining) and OUTPUT."""
-        frameworks = self._frameworks()
-        n_total = sum(fw.n for fw in frameworks)
-        if n_total == 0:
-            raise EmptySummaryError("no worker ingested any elements")
-        buffers = self._collect_buffers(frameworks)
-        if self.combine_fanin is not None:
-            buffers = self._pre_combine(buffers)
-        return output(
-            buffers, list(phis), n_total, use_kernels=self._kernels
-        )
+        """Approximate quantiles of everything dispatched so far."""
+        return self._recombined().quantiles(phis)
 
     def query(self, phi: float) -> Any:
         return self.quantiles([phi])[0]
@@ -417,72 +437,25 @@ class ParallelQuantileEngine:
 
     def rank(self, value: Any) -> int:
         """Approximate combined rank of *value* across all workers."""
-        from .operations import weighted_rank
-
-        frameworks = self._frameworks()
-        n_total = sum(fw.n for fw in frameworks)
-        if n_total == 0:
-            raise EmptySummaryError("no worker ingested any elements")
-        buffers = self._collect_buffers(frameworks)
-        _below, below_eq = weighted_rank(buffers, value)
-        return min(below_eq, n_total)
+        return self._recombined().rank(value)
 
     def cdf(self, value: Any) -> Any:
         """Approximate combined CDF at a scalar or sequence of values."""
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return [self.rank(v) / self.n for v in value]
-        return self.rank(value) / self.n
+        return self._recombined().cdf(value)
 
     def describe(self) -> dict:
         """Summary dict: n, extremes, key quantiles, certified bound."""
         from .protocols import describe_dict
 
-        return describe_dict(self)
-
-    def _pre_combine(self, buffers: List[Buffer]) -> List[Buffer]:
-        """Two-stage recombination for very high parallelism (Section 4.9).
-
-        Root buffers are partitioned into groups of at most
-        ``combine_fanin`` and each group is COLLAPSEd on an intermediate
-        node; the final OUTPUT then sees one buffer per group.
-        """
-        assert self.combine_fanin is not None
-        combined: List[Buffer] = []
-        for i in range(0, len(buffers), self.combine_fanin):
-            group = buffers[i : i + self.combine_fanin]
-            if len(group) == 1:
-                combined.append(group[0])
-            else:
-                weight = sum(b.weight for b in group)
-                combined.append(
-                    collapse(
-                        group,
-                        self._offsets.offset_for(weight),
-                        use_kernels=self._kernels,
-                    )
-                )
-        return combined
+        return describe_dict(self._recombined())
 
     def error_bound(self) -> float:
         """Certified rank bound for the combined answer (Lemma 5).
 
-        ``W`` and ``C`` add across workers (the union of the trees is one
-        forest under the final root); ``w_max`` is the heaviest buffer the
-        final OUTPUT reads.  Pre-combining adds its own collapses, which
-        are accounted for at query time, so this bound is computed from
-        the workers' statistics plus the current surviving buffers.
+        The bound of the recombined forest (:func:`recombine`): every
+        worker's collapses and the pre-combine collapses count, and
+        ``w_max`` is the heaviest buffer the final OUTPUT reads.
         """
-        frameworks = self._frameworks()
-        total_w = sum(fw.sum_collapse_weights for fw in frameworks)
-        total_c = sum(fw.n_collapses for fw in frameworks)
-        w_max = max(
-            (
-                buf.weight
-                for fw in frameworks
-                for buf in fw.full_buffers
-            ),
-            default=1,
-        )
-        if total_c == 0:
+        if self.n == 0:
             return 0.0
-        return (total_w - total_c - 1) / 2.0 + w_max
+        return self._recombined().error_bound()

@@ -78,6 +78,11 @@ def dump(fw: QuantileFramework, fh: BinaryIO) -> None:
         raise ConfigurationError(
             f"cannot serialise custom policy {fw.policy.name!r}"
         )
+    if any(len(buf.values) != fw.k for buf in fw._full):
+        raise ConfigurationError(
+            "a recombination of summaries with different k does not "
+            "serialise: the format stores k values per buffer"
+        )
     remainder = fw._remainder
     rem = (
         np.asarray(remainder, dtype="<f8")
@@ -350,10 +355,14 @@ def merge_serialized(payloads: "Iterable[bytes]"):
     This is the receiving half of the §4.9 exchange: every shard ships its
     summary in its engine's wire format (exactly what the process backend
     of :class:`~repro.core.parallel.ParallelQuantileEngine` and the
-    service's ``FETCH`` command emit), and the coordinator folds them into
-    a single summary via ``absorb`` -- for the paper engine the combined
-    collapse forest still satisfies Lemma 5, for KLL the Hoeffding
-    accounting adds, so the merged ``error_bound()`` stays certified.
+    service's ``FETCH`` command emit), and the coordinator loads them and
+    combines them with :func:`repro.core.engines.merge_summaries`.  Paper
+    summaries recombine: their root buffers (each staged tail as a padded
+    buffer) concatenate under one OUTPUT, and the merged
+    ``error_bound()`` is Lemma 5 over that forest -- §4.9's concat bound,
+    with no COLLAPSE beyond the shards' own.  KLL summaries fold with
+    ``absorb`` and their Hoeffding accounting adds.  Either way the
+    merged bound is certified.
 
     Engine handling: the payloads' magic tags must all name the *same*
     engine -- mixing raises a typed
@@ -361,30 +370,29 @@ def merge_serialized(payloads: "Iterable[bytes]"):
     attempting a garbled fold.  A non-mergeable format (frugal, adaptive
     paper) accepts exactly one payload (a plain load); two or more raise
     :class:`ConfigurationError`.  Same-engine merges are deterministic:
-    payloads fold in iteration order, so every coordinator produces
+    payloads combine in iteration order, so every coordinator produces
     byte-identical results.
     """
-    from .engines import spec_of
+    from .engines import merge_summaries, spec_of
     from .errors import EngineMismatchError
 
-    merged = None
+    summaries = []
     first = None
     for raw in payloads:
         spec = spec_of(raw)
         if first is None:
-            first, merged = spec, spec.loads(raw)
-            continue
-        if spec.name != first.name:
+            first = spec
+        elif spec.name != first.name:
             raise EngineMismatchError(
                 f"cannot merge summaries from different engines: "
                 f"{first.name!r} vs {spec.name!r}"
             )
-        if not (first.mergeable and spec.mergeable):
+        elif not (first.mergeable and spec.mergeable):
             raise ConfigurationError(
                 f"{first.name!r} summaries in {first.magic.decode()} are "
                 "not mergeable; fetch and query them individually"
             )
-        merged.absorb(spec.loads(raw))
-    if merged is None:
+        summaries.append(spec.loads(raw))
+    if first is None:
         raise ConfigurationError("merge_serialized needs at least one payload")
-    return merged
+    return merge_summaries(summaries)

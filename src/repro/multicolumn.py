@@ -49,11 +49,6 @@ class MultiColumnSketcher:
         Optional: allow the probabilistic sampling path per column.
     """
 
-    #: no :class:`~repro.core.bank.SketchBank` backs the columns: one
-    #: bank over adopted sketches ingested slower than this per-column
-    #: loop at 4 and 16 columns
-    _bank = None
-
     def __init__(
         self,
         columns: Sequence[str],

@@ -2,14 +2,18 @@
 
 Everything else in the library summarises *all* data it has ever seen;
 real monitoring asks "p99 over the last 5 minutes".  This module grows
-two time-aware wrappers out of the paper's own mergeability (§4.9: two
-summaries fold via ``absorb`` with the certified bound intact):
+two time-aware wrappers out of the paper's own mergeability (§4.9: the
+root buffers of several summaries concatenate under one OUTPUT with a
+certified bound):
 
 * :class:`WindowedSketch` -- a ring of per-bucket sketches.  Ingest
   lands in the bucket covering its timestamp; a query merges the live
-  buckets through :func:`repro.core.serialize.merge_serialized`, so the
-  windowed answer *is* the offline §4.9 merge of those buckets,
-  bit-for-bit, including ``error_bound()``.  ``slide == window`` gives
+  bucket objects with :func:`repro.core.engines.merge_summaries`, the
+  dispatch :func:`repro.core.serialize.merge_serialized` runs on their
+  payloads, so the windowed answer *is* the offline §4.9 merge of those
+  buckets, bit-for-bit, including ``error_bound()``.  For paper buckets
+  that bound is §4.9's concat bound -- Lemma 5 over the buckets' forest
+  -- not the bound of an ``absorb`` fold.  ``slide == window`` gives
   tumbling windows (one bucket); ``slide < window`` gives sliding
   windows (``window / slide`` buckets).
 * :class:`ExpDecaySketch` -- exponential time-decay.  A ring of
@@ -558,11 +562,13 @@ class _TimeBucketedSketch:
     def _merged(self) -> Any:
         """One sketch summarising the live buckets (§4.9 merge, cached).
 
-        Routes through :func:`repro.core.serialize.merge_serialized` on
-        the buckets' own wire payloads, so the result -- values *and*
-        certified bound -- is bit-identical to an offline merge of those
-        payloads.  Queries never mutate the ring; the cache keys on the
-        ingest version counter.
+        :func:`repro.core.engines.merge_summaries` over the live bucket
+        objects -- the dispatch ``merge_serialized`` runs on their
+        payloads -- so the result, values *and* certified bound, is
+        bit-identical to an offline merge of those payloads.  Queries
+        never mutate the ring; the cache keys on the ingest version
+        counter, and may share bucket buffers until the next ingest
+        drops it.
         """
         if self._cache is not None and self._cache[0] == self._version:
             return self._cache[1]
@@ -571,9 +577,9 @@ class _TimeBucketedSketch:
             raise EmptySummaryError(
                 "no data in the current window; ingest first"
             )
-        from .core.serialize import merge_serialized
+        from .core.engines import merge_summaries
 
-        merged = merge_serialized([self._spec.dumps(sk) for _, sk in live])
+        merged = merge_summaries([sk for _, sk in live])
         self._cache = (self._version, merged)
         return merged
 
@@ -584,8 +590,9 @@ class WindowedSketch(_TimeBucketedSketch):
     Parameters
     ----------
     eps:
-        Per-bucket rank accuracy; the merged window keeps the certified
-        bound the inner engine's ``absorb`` accounting produces.
+        Per-bucket rank accuracy; the merged window keeps a certified
+        bound: §4.9's concat bound for paper buckets, the summed
+        Hoeffding accounting for KLL.
     window:
         Window span -- seconds or a duration string (``"5m"``).
     slide:

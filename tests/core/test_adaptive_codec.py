@@ -94,7 +94,8 @@ def test_stored_pads_that_crowd_out_genuine_ranks(eps, policy, values):
     sk.extend(values)
     genuine = sum(
         b.weight * (len(b) - b.n_low_pad - b.n_high_pad)
-        for b in sk._all_buffers()
+        for s in (*sk._closed, sk._active)
+        for b in s._snapshot_buffers()
     )
     assert genuine < sk.n
     ordered = np.sort(values)

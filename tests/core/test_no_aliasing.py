@@ -40,7 +40,9 @@ COMMON = settings(
 
 def _adaptive_state(sk: AdaptiveQuantileSketch) -> bytes:
     closed = b"".join(
-        buf.values.tobytes() for stage in sk._closed for buf in stage.buffers
+        buf.values.tobytes()
+        for stage in sk._closed
+        for buf in stage.full_buffers
     )
     return closed + serialize.dumps(sk._active)
 

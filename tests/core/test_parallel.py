@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, EmptySummaryError
 from repro.core.framework import QuantileFramework
-from repro.core.parallel import ParallelQuantileEngine, merge_frameworks
+from repro.core.parallel import ParallelQuantileEngine, recombine
 
 
 def rank_err(value, phi, n):
@@ -18,6 +18,8 @@ def rank_err(value, phi, n):
 
 
 class TestMergeFrameworks:
+    """Worker frameworks merged by :func:`recombine`."""
+
     def test_two_workers_cover_disjoint_ranges(self, rng):
         n = 60_000
         data = rng.permutation(n).astype(np.float64)
@@ -25,7 +27,7 @@ class TestMergeFrameworks:
         w2 = QuantileFramework(b=6, k=256)
         w1.extend(data[: n // 2])
         w2.extend(data[n // 2 :])
-        (med,) = merge_frameworks([w1, w2], [0.5])
+        (med,) = recombine([w1, w2]).quantiles([0.5])
         assert rank_err(med, 0.5, n) < 0.02
 
     def test_idle_workers_ignored(self, rng):
@@ -33,12 +35,12 @@ class TestMergeFrameworks:
         w1 = QuantileFramework(b=5, k=128)
         w2 = QuantileFramework(b=5, k=128)
         w1.extend(data)
-        (med,) = merge_frameworks([w1, w2], [0.5])
+        (med,) = recombine([w1, w2]).quantiles([0.5])
         assert rank_err(med, 0.5, 10_000) < 0.05
 
     def test_all_empty_raises(self):
         with pytest.raises(EmptySummaryError):
-            merge_frameworks([QuantileFramework(b=3, k=8)], [0.5])
+            recombine([QuantileFramework(b=3, k=8)])
 
 
 class TestParallelEngine:
@@ -103,6 +105,63 @@ class TestParallelEngine:
         engine = ParallelQuantileEngine(4, b=5, k=128)
         engine.dispatch(data)
         assert engine.query(0.5) == engine.query(0.5)
+
+
+class TestRecombinedReads:
+    """Queries read the workers through ``recombine`` and change nothing."""
+
+    @pytest.mark.parametrize(
+        "n_workers, b, k, fanin",
+        [(8, 4, 64, 8), (16, 5, 100, 4), (64, 3, 50, 2)],
+    )
+    def test_bound_counts_every_collapse(self, n_workers, b, k, fanin, rng):
+        """Lemma 5 per collapsed tree: every worker's collapses and the
+        pre-combine collapses, whose alternation is a tree of its own."""
+        n = n_workers * k * 12 + 37
+        engine = ParallelQuantileEngine(
+            n_workers, b=b, k=k, combine_fanin=fanin
+        )
+        engine.dispatch(rng.permutation(n).astype(np.float64))
+        roots = [
+            buf for fw in engine.workers for buf in fw._snapshot_buffers()
+        ]
+        groups = [roots[i : i + fanin] for i in range(0, len(roots), fanin)]
+        pre = [[buf.weight for buf in g] for g in groups if len(g) > 1]
+        trees = [
+            (fw.sum_collapse_weights, fw.n_collapses)
+            for fw in engine.workers
+            if fw.n_collapses
+        ]
+        trees.append((sum(map(sum, pre)), len(pre)))
+        w_max = max(sum(buf.weight for buf in g) for g in groups)
+        expected = sum((w - c + 1) / 2 for w, c in trees) + w_max - 1
+        assert engine.error_bound() == expected
+        for phi in (0.01, 0.5, 0.99):
+            assert rank_err(engine.query(phi), phi, n) * n <= expected
+
+    @pytest.mark.parametrize("fanin", [None, 2])
+    def test_interleaved_queries_match_across_backends(self, fanin, rng):
+        """Mid-stream queries are reads: sync and process answer
+        bit-identically, and so does an engine never queried before."""
+        data = rng.permutation(4_120).astype(np.float64)
+        phis = [0.1, 0.5, 0.9]
+        kw = dict(b=3, k=50, combine_fanin=fanin)
+        quiet = ParallelQuantileEngine(4, **kw)
+        sync = ParallelQuantileEngine(4, **kw)
+        with ParallelQuantileEngine(4, backend="process", **kw) as proc:
+            for chunk in np.array_split(data, 5):
+                for engine in (quiet, sync, proc):
+                    engine.dispatch(chunk)
+                reads = [
+                    (e.error_bound(), e.quantiles(phis), e.rank(2_000.0))
+                    for e in (sync, proc)
+                ]
+                assert reads[0] == reads[1]
+            final = [
+                (e.error_bound(), e.quantiles(phis), e.cdf([1e3, 3e3]))
+                for e in (quiet, sync, proc)
+            ]
+        assert final[0] == final[1] == final[2]
 
 
 class TestProcessBackend:
