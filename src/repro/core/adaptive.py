@@ -80,13 +80,9 @@ def _read_stage(r: _Reader) -> QuantileFramework:
             r.take(_BUFFER_HEADER.size, "stage buffer header")
         )
         values = r.f64_array(n_values, "stage buffer values")
-        if n_low + n_high > n_values:
-            raise StorageError(
-                "corrupt adaptive sketch: pad counts exceed buffer size"
-            )
         buffers.append(Buffer(values, weight, level, n_low, n_high))
     fw = QuantileFramework(max(2, count), len(buffers[0]) if buffers else 1)
-    fw._full, fw._mode = buffers, "numeric"
+    fw._full, fw._mode, fw._remainder = buffers, "numeric", np.empty(0)
     fw._n, fw._n_collapses, fw._sum_collapse_weights = (
         n, n_collapses, sum_weights
     )
@@ -304,22 +300,16 @@ class AdaptiveQuantileSketch:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AdaptiveQuantileSketch":
         """Deserialise from bytes produced by :meth:`to_bytes`."""
-        r = _Reader(raw)
-        sk = cls._read(r)
-        r.done("adaptive sketch")
-        return sk
+        from .engines import load_sketch
+
+        return load_sketch(raw, ADAPTIVE_MAGIC)
 
     @classmethod
     def read_from(cls, fh: BinaryIO) -> "AdaptiveQuantileSketch":
         """Read one serialised sketch from *fh* (self-delimiting)."""
-        return cls._read(_StreamReader(fh))
+        from .engines import read_sketch
 
-    @classmethod
-    def _read(cls, r: _Reader) -> "AdaptiveQuantileSketch":
-        magic = bytes(r.take(8, "adaptive magic"))
-        if magic != ADAPTIVE_MAGIC:
-            raise StorageError(f"bad magic {magic!r}: not an adaptive sketch")
-        return cls.read_stages(r, r.f64("epsilon"))
+        return read_sketch(_StreamReader(fh), ADAPTIVE_MAGIC)
 
     def write_stages(self, out: BinaryIO) -> None:
         """Write the stage container: the roll schedule, each closed
@@ -349,10 +339,12 @@ class AdaptiveQuantileSketch:
         buffers, roll schedule and certified bound -- so further ingest
         diverges nowhere.
 
-        Total on hostile bytes: the schedule, every stage's plan and
-        counts and a stored genuine element are checked, and anything
-        else raises :class:`StorageError`, so a sketch that loads
-        answers.  Every state ingest reaches passes these checks.
+        The schedule and every stage's plan, counts and buffers are
+        checked (:meth:`_check_stages`); every state ingest reaches
+        passes, and anything else raises :class:`StorageError` -- a
+        constructor's :class:`ConfigurationError` too, when the decoder
+        runs through :func:`repro.core.serialize.decode` as every entry
+        point does -- so a sketch that loads answers.
         """
         initial_capacity, capacity, active_n, n_closed = _HEADER.unpack(
             r.take(_HEADER.size, "adaptive header")
@@ -364,23 +356,27 @@ class AdaptiveQuantileSketch:
             and capacity == initial_capacity << n_closed
         ):
             raise StorageError("corrupt adaptive sketch: stage schedule")
-        try:
-            closed = [_read_stage(r) for _ in range(n_closed)]
-            live = serialize.loads(r.take(r.u32("live size"), "live stage"))
-            sk = cls(
-                epsilon,
-                initial_capacity=initial_capacity,
-                policy=live.policy.name,
-            )
-            sk._closed, sk._capacity = closed, capacity
-            sk._active, sk._active_n = live, active_n
-            sk._check_stages()
-        except ConfigurationError as exc:
-            raise StorageError(f"corrupt adaptive sketch: {exc}") from None
+        closed = [_read_stage(r) for _ in range(n_closed)]
+        live = serialize.loads(r.take(r.u32("live size"), "live stage"))
+        sk = cls(
+            epsilon,
+            initial_capacity=initial_capacity,
+            policy=live.policy.name,
+        )
+        sk._closed, sk._capacity = closed, capacity
+        sk._active, sk._active_n = live, active_n
+        sk._check_stages()
         return sk
 
     def _check_stages(self) -> None:
-        """Raise unless every stage is one this sketch could have built."""
+        """Raise unless every stage is one this sketch could have built.
+
+        A closed stage holds the buffers its roll leaves, and then
+        passes the paper check (:meth:`QuantileFramework._check_state`),
+        which the live stage passed in its own decoder; the live stage,
+        never finished, stores no pads, so its stored weight is exactly
+        its n.
+        """
         for j, stage in enumerate(self._closed):
             n = self.initial_capacity << j
             k = self._plan(n).k if stage.n == n else 0
@@ -389,21 +385,17 @@ class AdaptiveQuantileSketch:
                 len(buf) != k for buf in stage._full
             ):
                 raise StorageError(f"corrupt adaptive sketch: stage {j}")
+            stage._check_state()
         live, plan = self._active, self._plan(self._capacity)
-        staged = len(live._remainder)
         placed = sum(buf.weight for buf in live._full) * live.k
         if not (
             (live.b, live.k) == (plan.b, plan.k)
-            and staged < live.k
-            and placed + staged == live.n == self._active_n <= self._capacity
+            and placed + len(live._remainder)
+            == live.n
+            == self._active_n
+            <= self._capacity
         ):
             raise StorageError("corrupt adaptive sketch: live stage")
-        # OUTPUT reads a genuine element; ingest always stores one
-        if self.n and all(
-            len(buf) == buf.n_low_pad + buf.n_high_pad
-            for buf in self._recombined().full_buffers
-        ):
-            raise StorageError("corrupt adaptive sketch: only pads stored")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -47,6 +47,7 @@ from .errors import ConfigurationError, StorageError
 from .framework import QuantileFramework
 from .frugal import FRUGAL_MAGIC, FrugalBank, FrugalSketch
 from .kll import KLL_MAGIC, KLLSketch
+from .serialize import _Reader, _StreamReader
 
 __all__ = [
     "EngineSpec",
@@ -74,8 +75,8 @@ class EngineSpec(NamedTuple):
     mergeable: bool
     #: ``error_bound()`` is a certified bound (not ``inf``)
     certified: bool
-    loads: Callable[[bytes], Any]
-    read_from: Callable[[BinaryIO], Any]
+    #: the format's decoder: a reader just past the magic -> a sketch
+    read: Callable[[_Reader], Any]
     dumps: Callable[[Any], bytes]
 
 
@@ -85,8 +86,7 @@ def _paper_spec() -> EngineSpec:
         magic=b"MRLSKT01",
         mergeable=True,
         certified=True,
-        loads=serialize.loads,
-        read_from=serialize.load_from,
+        read=serialize.read_framework,
         dumps=serialize.dumps,
     )
 
@@ -97,8 +97,7 @@ def _kll_spec() -> EngineSpec:
         magic=KLL_MAGIC,
         mergeable=True,
         certified=True,
-        loads=KLLSketch.from_bytes,
-        read_from=KLLSketch.read_from,
+        read=KLLSketch.read,
         dumps=lambda sk: sk.to_bytes(),
     )
 
@@ -109,8 +108,7 @@ def _frugal_spec() -> EngineSpec:
         magic=FRUGAL_MAGIC,
         mergeable=False,
         certified=False,
-        loads=FrugalSketch.from_bytes,
-        read_from=FrugalSketch.read_from,
+        read=FrugalSketch.read,
         dumps=lambda sk: sk.to_bytes(),
     )
 
@@ -121,8 +119,10 @@ def _adaptive_spec() -> EngineSpec:
         magic=ADAPTIVE_MAGIC,
         mergeable=False,
         certified=True,
-        loads=AdaptiveQuantileSketch.from_bytes,
-        read_from=AdaptiveQuantileSketch.read_from,
+        # the body is the epsilon, then the stage container
+        read=lambda r: AdaptiveQuantileSketch.read_stages(
+            r, r.f64("epsilon")
+        ),
         dumps=lambda sk: sk.to_bytes(),
     )
 
@@ -130,18 +130,17 @@ def _adaptive_spec() -> EngineSpec:
 def _ring_spec(name: str, magic: bytes, cls_name: str) -> EngineSpec:
     # repro.windows imports core; resolve the ring class lazily at call
     # time so the registry can be built while core is still importing
-    def ring() -> Any:
+    def read(r: _Reader) -> Any:
         from .. import windows
 
-        return getattr(windows, cls_name)
+        return getattr(windows, cls_name).read(r)
 
     return EngineSpec(
         name=name,
         magic=magic,
         mergeable=True,
         certified=True,
-        loads=lambda raw: ring().from_bytes(raw),
-        read_from=lambda fh: ring().read_from(fh),
+        read=read,
         dumps=lambda sk: sk.to_bytes(),
     )
 
@@ -212,41 +211,42 @@ def engine_of_sketch(sketch: Any) -> str:
     return "paper"
 
 
+def read_sketch(r: _Reader, magic: "bytes | None" = None) -> Any:
+    """Decode one sketch payload from *r*: the path under every loader.
+
+    Reads the magic once and runs its format's decoder through
+    :func:`~repro.core.serialize.decode`; a given *magic* refuses every
+    other format.  Raises only :class:`StorageError` on bad input.
+    """
+    head = bytes(r.take(8, "sketch magic"))
+    spec = _BY_MAGIC.get(head) if magic in (None, head) else None
+    if spec is None:
+        want = "any known engine" if magic is None else magic.decode()
+        raise StorageError(
+            f"bad magic {head!r}: not a serialised sketch of {want}"
+        )
+    return serialize.decode(spec.read, r)
+
+
+def load_sketch(
+    raw: "bytes | bytearray | memoryview", magic: "bytes | None" = None
+) -> Any:
+    """:func:`read_sketch` over exactly the bytes *raw*."""
+    r = _Reader(raw)
+    sketch = read_sketch(r, magic)
+    r.done("sketch payload")
+    return sketch
+
+
 def loads_any(raw: bytes) -> Any:
     """Deserialise a summary of any engine (dispatch on the magic tag)."""
-    return spec_of(raw).loads(raw)
+    return load_sketch(raw)
 
 
 def load_any_from(fh: BinaryIO) -> Any:
-    """Read one summary of any engine from *fh* (self-delimiting formats).
-
-    Peeks the 8-byte magic; works on non-seekable streams by wrapping
-    the peeked prefix back in front of the remaining stream.
-    """
-    import io
-
-    head = fh.read(8)
-    if len(head) < 8:
-        raise StorageError("truncated sketch: no engine magic")
-    spec = spec_of(head)
-
-    class _Rejoined(io.RawIOBase):
-        def __init__(self) -> None:
-            self._head = head
-
-        def readable(self) -> bool:  # pragma: no cover - io protocol
-            return True
-
-        def read(self, size: int = -1) -> bytes:
-            if self._head:
-                if size < 0 or size >= len(self._head):
-                    out, self._head = self._head, b""
-                    return out
-                out, self._head = self._head[:size], self._head[size:]
-                return out
-            return fh.read(size)
-
-    return spec.read_from(_Rejoined())  # type: ignore[arg-type]
+    """Read one summary of any engine from *fh*, leaving the stream just
+    past it (every format is self-delimiting; no peek, no seek)."""
+    return read_sketch(_StreamReader(fh))
 
 
 def dumps_any(sketch: Any) -> bytes:

@@ -39,6 +39,7 @@ from .errors import (
     CapacityExceededError,
     ConfigurationError,
     EmptySummaryError,
+    StorageError,
 )
 from .operations import OffsetSelector, collapse, output, weighted_rank
 from .policies import CollapsePolicy, make_policy
@@ -646,6 +647,52 @@ class QuantileFramework:
         return self
 
     # -- inspection of raw state (used by parallel mode and merging) -------------
+
+    def _check_state(self) -> None:
+        """Raise :class:`StorageError` unless ingest could have reached
+        this numeric state -- the check that ends every paper decoder.
+
+        At most ``b`` buffers, each at a level >= 0, sorted, its pads
+        the +/-inf sentinels its counts name and the rest finite, with
+        at least one genuine value (every leaf holds one, and a COLLAPSE
+        spaced ``W`` apart keeps one from inputs that each hold one); a
+        finite staged tail shorter than ``k``.  The stored weight
+        ``sum(weight * k) + len(tail)`` is ``n`` plus the pads ever
+        placed, and :meth:`finish` pads a leaf holding at least one
+        genuine value with at most ``k - 1`` pads, so it lies in
+        ``[n, k * n]``; with the tail OUTPUT reads as one more buffer it
+        stays below ``2**63``, so its int64 weights cannot overflow.
+        """
+        k = self.k
+        stored = 0
+        for buf in self._full:
+            v, low, high = buf.values, buf.n_low_pad, buf.n_high_pad
+            if not (
+                buf.level >= 0
+                and low + high < k
+                and bool(np.all(v[:-1] <= v[1:]))
+                and -np.inf < v[low] <= v[k - high - 1] < np.inf
+                and (not low or v[low - 1] == -np.inf)
+                and (not high or v[k - high] == np.inf)
+            ):
+                raise StorageError(
+                    "corrupt sketch: a buffer is not sorted genuine data "
+                    "between its counted pads"
+                )
+            stored += buf.weight * k
+        tail = self._remainder
+        stored += len(tail)
+        if not (
+            len(self._full) <= self.b
+            and len(tail) < k
+            and bool(np.isfinite(tail).all())
+            and self._n <= stored <= k * self._n
+            and stored + k < 1 << 63
+        ):
+            raise StorageError(
+                f"corrupt sketch: {len(self._full)} buffers and a tail of "
+                f"{len(tail)} do not hold n={self._n} elements"
+            )
 
     @property
     def full_buffers(self) -> List[Buffer]:

@@ -60,6 +60,7 @@ from .errors import (
     StorageError,
 )
 from .protocols import DESCRIBE_PHIS, describe_dict
+from .serialize import _Reader, _StreamReader
 from ..obs import hooks as _obs
 
 __all__ = ["FrugalBank", "FrugalSketch", "FRUGAL_MAGIC"]
@@ -67,8 +68,8 @@ __all__ = ["FrugalBank", "FrugalSketch", "FRUGAL_MAGIC"]
 FRUGAL_MAGIC = b"FRGSKT01"
 FRUGAL_FORMAT_VERSION = 1
 
-# magic, version, n_phis, seed, n, min, max
-_HEADER = struct.Struct("<8sHHxxxxQQdd")
+# after the magic: version, n_phis, seed, n, min, max
+_HEADER = struct.Struct("<HHxxxxQQdd")
 # per tracked fraction: q, m, step, sign
 _PHI_RECORD = struct.Struct("<dddb")
 
@@ -672,9 +673,9 @@ class FrugalSketch:
         bank, row = self._bank, self._row
         out = io.BytesIO()
         n = int(bank._n[row])
+        out.write(FRUGAL_MAGIC)
         out.write(
             _HEADER.pack(
-                FRUGAL_MAGIC,
                 FRUGAL_FORMAT_VERSION,
                 len(bank._qs),
                 bank.seed,
@@ -697,27 +698,49 @@ class FrugalSketch:
     @classmethod
     def read_from(cls, fh: BinaryIO) -> "FrugalSketch":
         """Read one serialised sketch from *fh* (self-delimiting)."""
-        from .serialize import _read_exact
+        from .engines import read_sketch
 
-        raw = _read_exact(fh, _HEADER.size, "frugal header")
-        magic, version, n_phis, seed, n, minv, maxv = _HEADER.unpack(raw)
-        if magic != FRUGAL_MAGIC:
-            raise StorageError(
-                f"bad magic {magic!r}: not a serialised frugal sketch"
-            )
+        return read_sketch(_StreamReader(fh), FRUGAL_MAGIC)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "FrugalSketch":
+        """Deserialise from bytes produced by :meth:`to_bytes`."""
+        from .engines import load_sketch
+
+        return load_sketch(raw, FRUGAL_MAGIC)
+
+    @classmethod
+    def read(cls, r: _Reader) -> "FrugalSketch":
+        """Decode a ``FRGSKT01`` payload from *r*, just past its magic.
+
+        The state is checked before it lands in the bank's arrays: fewer
+        than ``2**63`` elements (the int64 counter), and every estimate
+        and step finite with a sign of +/-1, as the update rule keeps
+        them.
+        """
+        version, n_phis, seed, n, minv, maxv = _HEADER.unpack(
+            r.take(_HEADER.size, "frugal header")
+        )
         if version != FRUGAL_FORMAT_VERSION:
             raise StorageError(
                 f"unsupported frugal format version {version}"
             )
         if n_phis < 1:
             raise StorageError("corrupt frugal sketch: no tracked fractions")
-        qs = np.empty(n_phis, dtype=np.float64)
-        ms = np.empty(n_phis, dtype=np.float64)
-        steps = np.empty(n_phis, dtype=np.float64)
-        signs = np.empty(n_phis, dtype=np.int8)
-        for p in range(n_phis):
-            rec = _read_exact(fh, _PHI_RECORD.size, "frugal record")
-            qs[p], ms[p], steps[p], signs[p] = _PHI_RECORD.unpack(rec)
+        records = np.array(
+            [
+                _PHI_RECORD.unpack(r.take(_PHI_RECORD.size, "frugal record"))
+                for _ in range(n_phis)
+            ]
+        )
+        qs, ms, steps, signs = records.T
+        if not (
+            n < 1 << 63
+            and np.isfinite(ms).all()
+            and np.isfinite(steps).all()
+            and np.isin(signs, (-1, 1)).all()
+        ):
+            raise StorageError("corrupt frugal sketch: estimator state")
         sk = cls(qs, seed=seed)
         bank = sk._bank
         if len(bank._qs) != n_phis or not np.array_equal(bank._qs, qs):
@@ -730,17 +753,6 @@ class FrugalSketch:
         bank._n[0] = n
         bank._min[0] = np.inf if np.isnan(minv) else minv
         bank._max[0] = -np.inf if np.isnan(maxv) else maxv
-        return sk
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "FrugalSketch":
-        """Deserialise from bytes produced by :meth:`to_bytes`."""
-        fh = io.BytesIO(raw)
-        sk = cls.read_from(fh)
-        if fh.read(1):
-            raise StorageError(
-                "corrupt frugal sketch: trailing bytes after payload"
-            )
         return sk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

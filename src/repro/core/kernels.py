@@ -250,7 +250,10 @@ def weighted_select_runs(
         return merged[(targets - 1) // int(w0)]
     warr = np.asarray(weights, dtype=np.int64)
     vals = np.concatenate(runs)
-    order = np.argsort(vals, kind="stable")
+    # Any order of a run of tied values selects the same value at every
+    # target: the tie's cumulative weight span does not depend on it.
+    # -0.0 and 0.0 tie but differ in bits, so only they need stability.
+    order = np.argsort(vals, kind="stable" if (vals == 0.0).any() else None)
     k = len(runs[0])
     if all(len(r) == k for r in runs):
         # Equal-length runs: element order[i] of the concatenation came

@@ -53,6 +53,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, EmptySummaryError, StorageError
 from .protocols import describe_dict
+from .serialize import _Reader, _StreamReader
 from ..obs import hooks as _obs
 
 __all__ = ["KLLSketch", "KLL_MAGIC", "k_for_eps"]
@@ -60,9 +61,9 @@ __all__ = ["KLLSketch", "KLL_MAGIC", "k_for_eps"]
 KLL_MAGIC = b"KLLSKT01"
 KLL_FORMAT_VERSION = 1
 
-# magic, version, k, min_capacity, n_levels, n, n_compactions, seed,
-# eps, delta, c, min, max
-_HEADER = struct.Struct("<8sHIHHQQQddddd")
+# after the magic: version, k, min_capacity, n_levels, n, n_compactions,
+# seed, eps, delta, c, min, max
+_HEADER = struct.Struct("<HIHHQQQddddd")
 # per level: item count, compaction count
 _LEVEL_HEADER = struct.Struct("<IQ")
 
@@ -478,9 +479,9 @@ class KLLSketch:
     def to_bytes(self) -> bytes:
         """Serialise to the ``KLLSKT01`` wire format (see docs/formats.md)."""
         out = io.BytesIO()
+        out.write(KLL_MAGIC)
         out.write(
             _HEADER.pack(
-                KLL_MAGIC,
                 KLL_FORMAT_VERSION,
                 self.k,
                 self.min_capacity,
@@ -503,11 +504,21 @@ class KLLSketch:
     @classmethod
     def read_from(cls, fh: BinaryIO) -> "KLLSketch":
         """Read one serialised summary from *fh* (self-delimiting)."""
-        from .serialize import _read_exact
+        from .engines import read_sketch
 
-        raw = _read_exact(fh, _HEADER.size, "kll header")
+        return read_sketch(_StreamReader(fh), KLL_MAGIC)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "KLLSketch":
+        """Deserialise from bytes produced by :meth:`to_bytes`."""
+        from .engines import load_sketch
+
+        return load_sketch(raw, KLL_MAGIC)
+
+    @classmethod
+    def read(cls, r: _Reader) -> "KLLSketch":
+        """Decode a ``KLLSKT01`` payload from *r*, just past its magic."""
         (
-            magic,
             version,
             k,
             min_cap,
@@ -520,11 +531,7 @@ class KLLSketch:
             c,
             minv,
             maxv,
-        ) = _HEADER.unpack(raw)
-        if magic != KLL_MAGIC:
-            raise StorageError(
-                f"bad magic {magic!r}: not a serialised KLL sketch"
-            )
+        ) = _HEADER.unpack(r.take(_HEADER.size, "kll header"))
         if version != KLL_FORMAT_VERSION:
             raise StorageError(f"unsupported KLL format version {version}")
         if n_levels < 1:
@@ -540,29 +547,54 @@ class KLLSketch:
         sk._max = None if math.isnan(maxv) else maxv
         sk._levels = []
         sk._compactions = []
-        s2 = 0.0
-        for l in range(n_levels):
-            rec = _read_exact(fh, _LEVEL_HEADER.size, "kll level header")
-            count, m_l = _LEVEL_HEADER.unpack(rec)
-            values = np.frombuffer(
-                _read_exact(fh, 8 * count, "kll level payload"), dtype="<f8"
-            ).copy() if count else _EMPTY_LEVEL
-            sk._levels.append(values)
+        for _ in range(n_levels):
+            count, m_l = _LEVEL_HEADER.unpack(
+                r.take(_LEVEL_HEADER.size, "kll level header")
+            )
+            sk._levels.append(
+                r.f64_array(count, "kll level payload")
+                if count
+                else _EMPTY_LEVEL
+            )
             sk._compactions.append(m_l)
-            s2 += m_l * 4.0**l
-        sk._s2 = s2
+        sk._s2 = sum(m_l * 4.0**l for l, m_l in enumerate(sk._compactions))
+        sk._check_state()
         return sk
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "KLLSketch":
-        """Deserialise from bytes produced by :meth:`to_bytes`."""
-        fh = io.BytesIO(raw)
-        sk = cls.read_from(fh)
-        if fh.read(1):
-            raise StorageError(
-                "corrupt KLL sketch: trailing bytes after payload"
+    def _check_state(self) -> None:
+        """Raise :class:`StorageError` unless ingest could have reached
+        this state -- the check that ends the decoder.
+
+        A compaction turns an even block of level ``l`` into half as
+        many items of level ``l + 1``, and ``absorb`` adds, so the level
+        weights sum to n exactly (Karnin--Lang--Liberty's compactor
+        invariant); settling leaves every level below its capacity and
+        the top level, unless it is the only one, nonempty; every
+        compaction is counted once per level; and the exact extremes
+        are finite, and known exactly when n > 0.
+        """
+        levels = self._levels
+        if not (
+            sum(len(lvl) << l for l, lvl in enumerate(levels))
+            == self._n
+            < 1 << 63
+            and sum(self._compactions) == self._n_compactions
+            and (len(levels) == 1 or len(levels[-1]))
+            and (
+                self._min is self._max is None
+                if self._n == 0
+                else None not in (self._min, self._max)
+                and -math.inf < self._min <= self._max < math.inf
             )
-        return sk
+            and all(
+                len(lvl) < self._capacity(l) and np.isfinite(lvl).all()
+                for l, lvl in enumerate(levels)
+            )
+        ):
+            raise StorageError(
+                f"corrupt KLL sketch: {len(levels)} levels do not hold "
+                f"n={self._n} finite items within capacity"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

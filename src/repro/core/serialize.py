@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from typing import Any, BinaryIO, Iterable
+from typing import Any, BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -47,9 +47,9 @@ __all__ = [
 _MAGIC = b"MRLSKT01"
 FORMAT_VERSION = 1
 
-# magic, version, b, k, policy_id, offset_mode_id, even_toggle,
+# after the magic: version, b, k, policy_id, offset_mode_id, even_toggle,
 # n, n_collapses, sum_collapse_weights, n_buffers, remainder_len, min, max
-_HEADER = struct.Struct("<8sHIIBBBxQQQIQdd")
+_HEADER = struct.Struct("<HIIBBBxQQQIQdd")
 # weight, level, n_low_pad, n_high_pad
 _BUFFER_HEADER = struct.Struct("<QiII")
 _U16 = struct.Struct("<H")
@@ -57,7 +57,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 
-#: largest single ``read`` :func:`_read_exact` issues
+#: largest single ``read`` a :class:`_StreamReader` issues
 _READ_CHUNK = 1 << 20
 
 _POLICY_IDS = {"new": 0, "munro-paterson": 1, "alsabti-ranka-singh": 2}
@@ -89,9 +89,9 @@ def dump(fw: QuantileFramework, fh: BinaryIO) -> None:
         if remainder is not None and len(remainder)
         else np.empty(0, dtype="<f8")
     )
+    fh.write(_MAGIC)
     fh.write(
         _HEADER.pack(
-            _MAGIC,
             FORMAT_VERSION,
             fw.b,
             fw.k,
@@ -129,34 +129,10 @@ def dumps(fw: QuantileFramework) -> bytes:
     return out.getvalue()
 
 
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    """Read exactly *size* bytes, looping over short reads.
-
-    Plain files return everything in one ``read`` call, but sockets and
-    pipes may return any non-empty prefix; both are handled here so the
-    same reader serves :func:`load` and :func:`load_from`.  Each call
-    asks for at most :data:`_READ_CHUNK` bytes, so a hostile length
-    costs memory on the order of the bytes that are really there.
-    """
-    chunks = []
-    remaining = size
-    while remaining:
-        piece = fh.read(min(remaining, _READ_CHUNK))
-        if not piece:
-            raise StorageError(
-                f"truncated sketch: expected {size} bytes of {what}"
-            )
-        chunks.append(piece)
-        remaining -= len(piece)
-    if len(chunks) == 1:
-        return chunks[0]
-    return b"".join(chunks)
-
-
 class _Reader:
     """Cursor over one encoded record with bounds-checked reads: the
-    reader of wire frames, journal records, snapshots and the adaptive
-    sketch payload, raising only :class:`StorageError` on short input.
+    reader of wire frames, journal records, snapshots and every sketch
+    payload, raising only :class:`StorageError` on short input.
 
     Accepts any C-contiguous buffer (``bytes``, ``bytearray``,
     ``memoryview``); slices it returns are views of the same type, so a
@@ -246,7 +222,12 @@ class _Reader:
 
 class _StreamReader(_Reader):
     """A :class:`_Reader` that pulls each field off a file object as it
-    is read (sockets and pipes included), for self-delimiting formats."""
+    is read (sockets and pipes included), for self-delimiting formats.
+
+    Short reads are retried, and each ``read`` asks for at most
+    :data:`_READ_CHUNK` bytes, so a hostile length costs memory on the
+    order of the bytes that are really there.
+    """
 
     __slots__ = ("fh",)
 
@@ -255,8 +236,18 @@ class _StreamReader(_Reader):
         self.fh = fh
 
     def take(self, size: int, what: str) -> bytes:
+        chunks = []
+        remaining = size
+        while remaining:
+            piece = self.fh.read(min(remaining, _READ_CHUNK))
+            if not piece:
+                raise StorageError(
+                    f"truncated sketch: expected {size} bytes of {what}"
+                )
+            chunks.append(piece)
+            remaining -= len(piece)
         self.pos += size
-        return _read_exact(self.fh, size, what)
+        return b"".join(chunks)
 
 
 def load(fh: BinaryIO) -> QuantileFramework:
@@ -283,9 +274,32 @@ def load_from(fh: BinaryIO) -> QuantileFramework:
     exchange mode (summaries shipped between nodes over a connection)
     deserialises straight off the wire.
     """
-    header = _read_exact(fh, _HEADER.size, "header")
+    from .engines import read_sketch
+
+    return read_sketch(_StreamReader(fh), _MAGIC)
+
+
+def loads(raw: bytes) -> QuantileFramework:
+    """Deserialise a summary from bytes."""
+    from .engines import load_sketch
+
+    return load_sketch(raw, _MAGIC)
+
+
+def decode(read: Callable[..., Any], r: _Reader, *args: Any) -> Any:
+    """Run the format decoder *read* over *r*: the one place where a
+    constructor's :class:`ConfigurationError` -- the configuration a
+    payload names is invalid -- becomes :class:`StorageError`, so no
+    decoder restates a constructor's checks."""
+    try:
+        return read(r, *args)
+    except ConfigurationError as exc:
+        raise StorageError(f"corrupt sketch: {exc}") from None
+
+
+def read_framework(r: _Reader) -> QuantileFramework:
+    """Decode an ``MRLSKT01`` payload from *r*, just past its magic."""
     (
-        magic,
         version,
         b,
         k,
@@ -299,16 +313,16 @@ def load_from(fh: BinaryIO) -> QuantileFramework:
         remainder_len,
         min_value,
         max_value,
-    ) = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise StorageError(f"bad magic {magic!r}: not a serialised sketch")
+    ) = _HEADER.unpack(r.take(_HEADER.size, "header"))
     if version != FORMAT_VERSION:
         raise StorageError(f"unsupported sketch format version {version}")
-    if policy_id not in _POLICY_NAMES or offset_id not in _OFFSET_NAMES:
-        raise StorageError("corrupt sketch header (unknown policy/offset)")
-    if n_buffers > b:
+    if (
+        policy_id not in _POLICY_NAMES
+        or offset_id not in _OFFSET_NAMES
+        or even_toggle > 1
+    ):
         raise StorageError(
-            f"corrupt sketch: {n_buffers} full buffers exceed b={b}"
+            "corrupt sketch header (unknown policy/offset/toggle)"
         )
     fw = QuantileFramework(
         b, k, policy=_POLICY_NAMES[policy_id],
@@ -322,31 +336,21 @@ def load_from(fh: BinaryIO) -> QuantileFramework:
     fw._min = None if np.isnan(min_value) else min_value
     fw._max = None if np.isnan(max_value) else max_value
     for _ in range(n_buffers):
-        raw = _read_exact(fh, _BUFFER_HEADER.size, "buffer header")
-        weight, level, n_low, n_high = _BUFFER_HEADER.unpack(raw)
-        values = np.frombuffer(
-            _read_exact(fh, 8 * k, "buffer payload"), dtype="<f8"
-        ).copy()
-        if n_low + n_high > k:
-            raise StorageError("corrupt sketch: pad counts exceed capacity")
+        weight, level, n_low, n_high = _BUFFER_HEADER.unpack(
+            r.take(_BUFFER_HEADER.size, "buffer header")
+        )
         fw._full.append(
             Buffer(
-                values=values,
+                values=r.f64_array(k, "buffer payload"),
                 weight=weight,
                 level=level,
                 n_low_pad=n_low,
                 n_high_pad=n_high,
             )
         )
-    fw._remainder = np.frombuffer(
-        _read_exact(fh, 8 * remainder_len, "remainder"), dtype="<f8"
-    ).copy()
+    fw._remainder = r.f64_array(remainder_len, "remainder")
+    fw._check_state()
     return fw
-
-
-def loads(raw: bytes) -> QuantileFramework:
-    """Deserialise a summary from bytes."""
-    return load(io.BytesIO(raw))
 
 
 def merge_serialized(payloads: "Iterable[bytes]"):
@@ -373,7 +377,7 @@ def merge_serialized(payloads: "Iterable[bytes]"):
     payloads combine in iteration order, so every coordinator produces
     byte-identical results.
     """
-    from .engines import merge_summaries, spec_of
+    from .engines import loads_any, merge_summaries, spec_of
     from .errors import EngineMismatchError
 
     summaries = []
@@ -392,7 +396,7 @@ def merge_serialized(payloads: "Iterable[bytes]"):
                 f"{first.name!r} summaries in {first.magic.decode()} are "
                 "not mergeable; fetch and query them individually"
             )
-        summaries.append(spec.loads(raw))
+        summaries.append(loads_any(raw))
     if first is None:
         raise ConfigurationError("merge_serialized needs at least one payload")
     return merge_summaries(summaries)

@@ -211,10 +211,13 @@ def read_snapshot(
         raw = fh.read()
     if len(raw) < _HEADER.size + 4:
         raise StorageError(f"{path}: too short to be a snapshot")
+    # one copy of the file: the body, every sub-reader over an entry and
+    # the CRC all read views of it
+    body = memoryview(raw)[:-4]
     crc_stored = _U32.unpack(raw[-4:])[0]
-    if (zlib.crc32(raw[:-4]) & 0xFFFFFFFF) != crc_stored:
+    if (zlib.crc32(body) & 0xFFFFFFFF) != crc_stored:
         raise StorageError(f"{path}: snapshot CRC mismatch")
-    r = _Reader(raw[:-4])
+    r = _Reader(body)
     magic, version, _pad, n_metrics, seq = _HEADER.unpack(
         r.take(_HEADER.size, "header")
     )
@@ -227,11 +230,14 @@ def read_snapshot(
         )
     if n_metrics:
         from ..core.engines import loads_any
+        from ..core.serialize import decode
     for _ in range(n_metrics):
         name = r.string("metric name")
         config = read_config(r, CONFIG_FULL)
         if config.kind == "adaptive":
-            sketch = AdaptiveQuantileSketch.read_stages(r, config.epsilon)
+            sketch = decode(
+                AdaptiveQuantileSketch.read_stages, r, config.epsilon
+            )
         else:
             sketch = loads_any(r.take(r.u32("payload size"), "payload"))
         registry.register_restored(name, config, sketch)

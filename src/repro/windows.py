@@ -55,6 +55,7 @@ import numpy as np
 
 from .core.errors import ConfigurationError, EmptySummaryError, StorageError
 from .core.protocols import ENGINE_BY_ID, ENGINE_IDS, describe_dict
+from .core.serialize import _Reader, _StreamReader
 
 __all__ = [
     "WindowedSketch",
@@ -72,6 +73,11 @@ _WIRE_VERSION = 1
 
 #: per-bucket design capacity for paper-engine buckets created without n
 DEFAULT_BUCKET_DESIGN_N = 1 << 30
+
+#: most buckets a window ring may hold (window / slide).  A ring
+#: allocates its slot lists up front, so this bounds what one CREATE or
+#: one decoded payload can make the process allocate: 1 MiB of slots.
+MAX_RING_BUCKETS = 1 << 16
 
 #: decay resolution: generations per half-life, and how small a weight a
 #: generation may decay to before it falls off the ring entirely
@@ -155,48 +161,6 @@ def window_config(
     slide_s = parse_duration(slide) if slide is not None else 0.0
     decay_s = parse_duration(decay) if decay is not None else 0.0
     return window_s, slide_s, decay_s
-
-
-def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
-    # loop: raw streams may legally return short reads
-    chunks = []
-    remaining = size
-    while remaining:
-        chunk = fh.read(remaining)
-        if not chunk:
-            raise StorageError(
-                f"truncated sketch: expected {size} bytes of {what}"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-class _Cursor:
-    """Bounds-checked reader over one serialised payload."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, size: int, what: str) -> bytes:
-        end = self.pos + size
-        if end > len(self.buf):
-            raise StorageError(
-                f"truncated sketch: expected {size} bytes of {what}"
-            )
-        raw = self.buf[self.pos : end]
-        self.pos = end
-        return raw
-
-    def unpack(self, st: struct.Struct, what: str):
-        return st.unpack(self.take(st.size, what))
-
-    def string(self, what: str) -> str:
-        (n,) = self.unpack(_U16, what)
-        return self.take(n, what).decode("utf-8")
 
 
 class _TimeBucketedSketch:
@@ -332,9 +296,13 @@ class _TimeBucketedSketch:
             )
         if arr.size == 0:
             return
-        if not math.isfinite(t):
-            raise ConfigurationError(f"event time must be finite, got {t}")
-        idx = int(math.floor(t / self.bucket_s))
+        where = t / self.bucket_s
+        if not math.isfinite(where):
+            raise ConfigurationError(
+                f"event time {t} has no bucket index at {self.bucket_s}s "
+                "buckets"
+            )
+        idx = int(math.floor(where))
         if idx <= self._max_index - self.n_buckets:
             self._dropped += arr.size
             return
@@ -402,6 +370,8 @@ class _TimeBucketedSketch:
                 f"configuration: {self._config_key()} vs "
                 f"{other._config_key()}"
             )
+        from .core.engines import loads_any
+
         for idx, sk in other._pairs():
             payload = self._spec.dumps(sk)
             slot = idx % self.n_buckets
@@ -414,10 +384,10 @@ class _TimeBucketedSketch:
                     )
                 # absorb a fresh copy: the engine's absorb may consume
                 # its argument, and *other* must stay intact
-                self._sketches[slot].absorb(self._spec.loads(payload))
+                self._sketches[slot].absorb(loads_any(payload))
             elif self._indices[slot] < idx:
                 self._indices[slot] = idx
-                self._sketches[slot] = self._spec.loads(payload)
+                self._sketches[slot] = loads_any(payload)
             # else: the slot holds a newer bucket; *other*'s is expired
             if idx > self._max_index:
                 self._max_index = idx
@@ -462,100 +432,98 @@ class _TimeBucketedSketch:
         return b"".join(out)
 
     @classmethod
-    def _parse_config(cls, c: _Cursor) -> Dict[str, Any]:
-        magic = c.take(8, "magic")
-        if magic != cls.MAGIC:
-            raise StorageError(
-                f"bad magic {magic!r}: not a serialised {cls.__name__}"
-            )
-        (version,) = c.unpack(_U16, "version")
-        if version != _WIRE_VERSION:
-            raise StorageError(
-                f"unsupported {cls.__name__} wire version {version}"
-            )
-        engine_id = c.take(1, "engine")[0]
-        if engine_id not in ENGINE_BY_ID:
-            raise StorageError(f"unknown inner engine id {engine_id}")
-        (eps,) = c.unpack(_F64, "eps")
-        (design_n,) = c.unpack(_U64, "design n")
-        policy = c.string("policy")
-        (seed,) = c.unpack(_U32, "seed")
-        (n_phis,) = c.unpack(_U16, "phi count")
-        phis = tuple(c.unpack(_F64, "phi")[0] for _ in range(n_phis))
-        (p1,) = c.unpack(_F64, "p1")
-        (p2,) = c.unpack(_F64, "p2")
-        return {
-            "engine": ENGINE_BY_ID[engine_id],
-            "eps": eps,
-            "n": None if design_n == 0 else design_n,
-            "policy": policy,
-            "seed": seed,
-            "phis": phis or None,
-            "p1": p1,
-            "p2": p2,
-        }
-
-    def _load_ring(self, c: _Cursor) -> None:
-        (total,) = c.unpack(_U64, "total")
-        (dropped,) = c.unpack(_U64, "dropped")
-        (n_buckets,) = c.unpack(_U32, "bucket count")
-        if n_buckets != self.n_buckets:
-            raise StorageError(
-                f"ring of {n_buckets} buckets does not fit a "
-                f"{self.n_buckets}-bucket configuration"
-            )
-        for slot in range(n_buckets):
-            (idx,) = c.unpack(_I64, "bucket index")
-            (size,) = c.unpack(_U32, "bucket payload size")
-            if idx < 0:
-                if size:
-                    raise StorageError("empty bucket with a payload")
-                continue
-            payload = c.take(size, "bucket payload")
-            self._indices[slot] = idx
-            self._sketches[slot] = self._spec.loads(bytes(payload))
-            if idx > self._max_index:
-                self._max_index = idx
-        self._total = total
-        self._dropped = dropped
-        self._version += 1
-        self._cache = None
-
-    @classmethod
     def from_bytes(cls, raw: bytes) -> "_TimeBucketedSketch":
-        c = _Cursor(bytes(raw))
-        cfg = cls._parse_config(c)
-        sk = cls._from_config(cfg)
-        sk._load_ring(c)
-        if c.pos != len(c.buf):
-            raise StorageError(
-                f"trailing bytes after serialised {cls.__name__}"
-            )
-        return sk
+        """Deserialise from bytes produced by :meth:`to_bytes`."""
+        from .core.engines import load_sketch
+
+        return load_sketch(raw, cls.MAGIC)
 
     @classmethod
     def read_from(cls, fh: BinaryIO) -> "_TimeBucketedSketch":
         """Read one serialised ring from a stream (self-delimiting)."""
-        head = bytearray(_read_exact(fh, 8 + 2 + 1 + 8 + 8, "ring header"))
-        (policy_len,) = _U16.unpack(_read_exact(fh, 2, "policy length"))
-        head += _U16.pack(policy_len)
-        head += _read_exact(fh, policy_len + 4, "policy/seed")
-        (n_phis,) = _U16.unpack(_read_exact(fh, 2, "phi count"))
-        head += _U16.pack(n_phis)
-        head += _read_exact(fh, 8 * n_phis + 8 + 8 + 8 + 8, "config/counters")
-        (n_buckets,) = _U32.unpack(_read_exact(fh, 4, "bucket count"))
-        head += _U32.pack(n_buckets)
-        for _ in range(n_buckets):
-            bucket_head = _read_exact(fh, 12, "bucket header")
-            head += bucket_head
-            (size,) = _U32.unpack(bucket_head[8:12])
-            if size:
-                head += _read_exact(fh, size, "bucket payload")
-        return cls.from_bytes(bytes(head))
+        from .core.engines import read_sketch
+
+        return read_sketch(_StreamReader(fh), cls.MAGIC)
 
     @classmethod
-    def _from_config(cls, cfg: Dict[str, Any]) -> "_TimeBucketedSketch":
+    def read(cls, r: _Reader) -> "_TimeBucketedSketch":
+        """Decode a ring payload from *r*, just past its magic: the
+        configuration, then per slot a bucket index and an inner
+        payload, decoded from exactly its ``size`` bytes.
+
+        Ends with the ring's state check: a bucket sits in the slot its
+        index maps to (so no index repeats), has the configuration the
+        ring builds its buckets with, and the buckets hold at most the
+        ``total`` elements ever ingested.
+        """
+        from .core.engines import load_sketch
+
+        version = r.u16("version")
+        if version != _WIRE_VERSION:
+            raise StorageError(
+                f"unsupported {cls.__name__} wire version {version}"
+            )
+        engine_id = r.u8("engine")
+        if engine_id not in ENGINE_BY_ID:
+            raise StorageError(f"unknown inner engine id {engine_id}")
+        eps = r.f64("eps")
+        design_n = r.u64("design n")
+        config = dict(
+            engine=ENGINE_BY_ID[engine_id],
+            n=None if design_n == 0 else design_n,
+            policy=r.string("policy"),
+            seed=r.u32("seed"),
+            phis=tuple(r.f64("phi") for _ in range(r.u16("phi count")))
+            or None,
+        )
+        p1, p2 = r.f64("p1"), r.f64("p2")
+        sk = cls._from_config(eps, p1, p2, config)
+        total, dropped = r.u64("total"), r.u64("dropped")
+        n_buckets = r.u32("bucket count")
+        if (p1, p2, n_buckets) != (sk._p1(), sk._p2(), sk.n_buckets):
+            raise StorageError(
+                f"ring of {n_buckets} buckets over ({p1}, {p2}) does not "
+                f"fit a {sk.n_buckets}-bucket configuration"
+            )
+        shape = sk._shape(sk._factory())
+        for slot in range(n_buckets):
+            (idx,) = _I64.unpack(r.take(8, "bucket index"))
+            size = r.u32("bucket payload size")
+            if idx < 0:
+                if idx != -1 or size:
+                    raise StorageError(f"corrupt empty slot {slot}")
+                continue
+            bucket = load_sketch(
+                r.take(size, "bucket payload"), sk._spec.magic
+            )
+            if idx % n_buckets != slot or sk._shape(bucket) != shape:
+                raise StorageError(
+                    f"corrupt {cls.__name__}: bucket {idx} in slot {slot}"
+                )
+            sk._indices[slot] = idx
+            sk._sketches[slot] = bucket
+            sk._max_index = max(sk._max_index, idx)
+        if sum(bucket.n for _, bucket in sk._pairs()) > total:
+            raise StorageError(
+                f"corrupt {cls.__name__}: buckets hold more than the "
+                f"{total} elements ingested"
+            )
+        sk._total, sk._dropped = total, dropped
+        return sk
+
+    @classmethod
+    def _from_config(
+        cls, eps: float, p1: float, p2: float, config: Dict[str, Any]
+    ) -> "_TimeBucketedSketch":
         raise NotImplementedError  # pragma: no cover - abstract
+
+    def _shape(self, bucket: Any) -> Tuple:
+        """The configuration this ring's factory fixes for a bucket."""
+        if self.engine == "kll":
+            return (bucket.k, bucket.delta, bucket.seed)
+        if self.engine == "frugal":
+            return (bucket.phis, bucket.seed)
+        return (bucket.b, bucket.k, bucket.policy.name)
 
     # -- shared query plumbing --------------------------------------------
 
@@ -627,6 +595,11 @@ class WindowedSketch(_TimeBucketedSketch):
                 f"slide ({slide_s}s) cannot exceed window ({window_s}s)"
             )
         ratio = window_s / slide_s
+        if not ratio <= MAX_RING_BUCKETS:
+            raise ConfigurationError(
+                f"window/slide = {ratio:g} buckets exceeds the ring's "
+                f"{MAX_RING_BUCKETS}"
+            )
         n_buckets = int(round(ratio))
         if abs(ratio - n_buckets) > 1e-9:
             raise ConfigurationError(
@@ -659,17 +632,10 @@ class WindowedSketch(_TimeBucketedSketch):
         return self.slide_s
 
     @classmethod
-    def _from_config(cls, cfg: Dict[str, Any]) -> "WindowedSketch":
-        return cls(
-            cfg["eps"],
-            window=cfg["p1"],
-            slide=cfg["p2"],
-            engine=cfg["engine"],
-            policy=cfg["policy"],
-            n=cfg["n"],
-            seed=cfg["seed"],
-            phis=cfg["phis"],
-        )
+    def _from_config(
+        cls, eps: float, p1: float, p2: float, config: Dict[str, Any]
+    ) -> "WindowedSketch":
+        return cls(eps, window=p1, slide=p2, **config)
 
     # -- queries (all delegate to the merged live window) ------------------
 
@@ -758,16 +724,10 @@ class ExpDecaySketch(_TimeBucketedSketch):
         return 0.0
 
     @classmethod
-    def _from_config(cls, cfg: Dict[str, Any]) -> "ExpDecaySketch":
-        return cls(
-            cfg["eps"],
-            half_life=cfg["p1"],
-            engine=cfg["engine"],
-            policy=cfg["policy"],
-            n=cfg["n"],
-            seed=cfg["seed"],
-            phis=cfg["phis"],
-        )
+    def _from_config(
+        cls, eps: float, p1: float, p2: float, config: Dict[str, Any]
+    ) -> "ExpDecaySketch":
+        return cls(eps, half_life=p1, **config)
 
     # -- weighted-rank plumbing -------------------------------------------
 

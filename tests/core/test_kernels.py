@@ -103,6 +103,21 @@ class TestSelectEquivalence:
         ref = kernels.weighted_select_argsort(runs, weights, targets)
         assert np.array_equal(got, ref)
 
+    def test_signed_zero_ties_select_bit_identically(self):
+        """-0.0 and 0.0 sort as ties but differ in bits: across runs of
+        unequal weight the runs kernel must still pick the zero the
+        stable reference picks, at every target."""
+        runs = [
+            np.array([-1.0, -0.0, -0.0, 0.0, 2.0]),
+            np.array([0.0, 0.0, -0.0, 3.0, 4.0]),
+            np.array([-0.0, 0.0, 0.0, 0.0, 5.0]),
+        ]
+        weights = [3, 1, 2]
+        targets = np.arange(1, 5 * sum(weights) + 1, dtype=np.int64)
+        got = kernels.weighted_select_runs(runs, weights, targets)
+        ref = kernels.weighted_select_argsort(runs, weights, targets)
+        assert got.tobytes() == ref.tobytes()
+
     @COMMON
     @given(data=st.data())
     def test_collapse_select_matches_argsort(self, data):
