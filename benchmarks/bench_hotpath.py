@@ -112,13 +112,6 @@ def bench_collapse_kernels(repeats=2000):
         out[name + "_argsort_us"] = (
             (time.perf_counter() - start) / repeats * 1e6
         )
-    for strategy in ("stable", "searchsorted"):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            kernels.merge_sorted_runs(runs, mixed_w, strategy=strategy)
-        out[f"merge_runs_{strategy}_us"] = (
-            (time.perf_counter() - start) / repeats * 1e6
-        )
     return out
 
 

@@ -5,7 +5,7 @@ Public facade
 -------------
 
 Four names cover the common cases, with one consistent spelling
-(``eps=``, ``policy=``, ``kernels=``) everywhere::
+(``eps=``, ``policy=``) everywhere::
 
     import repro
 

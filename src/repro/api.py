@@ -4,9 +4,11 @@
 One consistent spelling over the whole library:
 
 - accuracy is ``eps=`` everywhere;
-- collapse scheduling is ``policy=`` everywhere;
-- the vectorised kernels are toggled per-object with ``kernels=``
-  (``None`` follows the global switch; results are bit-identical).
+- collapse scheduling is ``policy=`` everywhere.
+
+The vectorised kernels have one global switch
+(:func:`repro.core.kernels.set_enabled` or ``REPRO_KERNELS=0``); results
+are bit-identical either way.
 
 The facade wraps -- it does not replace -- the concrete classes:
 :class:`~repro.core.sketch.QuantileSketch`,
@@ -57,7 +59,6 @@ def Sketch(
     n: Optional[int] = None,
     *,
     policy: str = "new",
-    kernels: Optional[bool] = None,
     adaptive: Optional[bool] = None,
     engine: str = "paper",
     window: "str | float | None" = None,
@@ -80,9 +81,6 @@ def Sketch(
     policy:
         Collapse policy: ``"new"`` (default), ``"munro-paterson"`` or
         ``"alsabti-ranka-singh"``.
-    kernels:
-        Per-sketch override of the vectorised kernels (``None`` follows
-        the global switch; results are bit-identical).
     adaptive:
         Force the choice instead of inferring it from *n*: ``True``
         always returns the adaptive sketch, ``False`` always the fixed-N
@@ -117,9 +115,9 @@ def Sketch(
         from .core.errors import ConfigurationError
         from .windows import ExpDecaySketch, WindowedSketch, window_config
 
-        if kernels is not None or adaptive is not None:
+        if adaptive is not None:
             raise ConfigurationError(
-                "kernels=/adaptive= do not apply to windowed or decayed "
+                "adaptive= does not apply to windowed or decayed "
                 "sketches (buckets size themselves per engine)"
             )
         window_s, slide_s, decay_s = window_config(window, slide, decay)
@@ -156,14 +154,10 @@ def Sketch(
     if adaptive:
         from .core.adaptive import AdaptiveQuantileSketch
 
-        return AdaptiveQuantileSketch(
-            eps=eps, policy=policy, kernels=kernels, **kwargs
-        )
+        return AdaptiveQuantileSketch(eps=eps, policy=policy, **kwargs)
     from .core.sketch import QuantileSketch
 
-    return QuantileSketch(
-        eps=eps, n=n, policy=policy, kernels=kernels, **kwargs
-    )
+    return QuantileSketch(eps=eps, n=n, policy=policy, **kwargs)
 
 
 def Bank(
@@ -171,7 +165,6 @@ def Bank(
     n: Optional[int] = None,
     *,
     policy: str = "new",
-    kernels: Optional[bool] = None,
     engine: str = "paper",
     **kwargs: Any,
 ) -> Any:
@@ -181,7 +174,7 @@ def Bank(
     ``engine="paper"`` (default) returns a
     :class:`~repro.core.bank.SketchBank` -- certified Lemma 5 bounds,
     ~``b*k`` elements per summary.  Accepts the facade kwargs (``eps=``,
-    ``policy=``, ``kernels=``) plus everything ``SketchBank`` takes
+    ``policy=``) plus everything ``SketchBank`` takes
     (``n_sketches=``, ``max_sketches=``, ``offset_mode=``).
 
     ``engine="frugal"`` returns a
@@ -189,7 +182,7 @@ def Bank(
     state, tens of bytes per summary, one branchless kernel pass per
     ingest chunk (takes ``phis=``, ``n_sketches=``, ``max_sketches=``,
     ``seed=``); this is the 100k+-metric configuration, see
-    BENCH_engines.json.  ``eps``/``policy``/``kernels`` do not apply.
+    BENCH_engines.json.  ``eps``/``policy`` do not apply.
 
     KLL has no vectorised bank (its compaction is per-summary); use
     ``Sketch(engine="kll")`` per summary, or the paper bank.
@@ -207,9 +200,7 @@ def Bank(
         )
     from .core.bank import SketchBank
 
-    return SketchBank(
-        eps=eps, n=n, policy=policy, kernels=kernels, **kwargs
-    )
+    return SketchBank(eps=eps, n=n, policy=policy, **kwargs)
 
 
 def connect(
@@ -258,7 +249,6 @@ def hist(
     *,
     eps: float = 0.005,
     policy: str = "new",
-    kernels: Optional[bool] = None,
     engine: str = "paper",
     window: "str | float | None" = None,
     slide: "str | float | None" = None,
@@ -273,8 +263,7 @@ def hist(
     or, with ``engine="kll"``/``"frugal"``, over that engine's sketch
     (see :func:`Sketch` for the trade-offs).
 
-    Accepts the same facade kwargs as :func:`Sketch`: ``kernels=``
-    toggles the vectorised paper kernels per call, and
+    Accepts the same facade kwargs as :func:`Sketch`:
     ``window=``/``slide=``/``decay=`` compute the boundaries over a
     time-aware sketch of *data* (useful with ``extra`` kwargs like
     ``clock=`` when *data* carries event times elsewhere; the batch is

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .core.errors import ConfigurationError, ReproError
 
@@ -382,11 +382,14 @@ def _client_values(args: argparse.Namespace) -> "object":
 
 
 def _default_kind(args: argparse.Namespace) -> str:
-    """``client create``'s kind when ``--kind`` is not given: non-paper
-    engines are always fixed (their own knobs size the sketch), as are
-    windowed/decayed metrics; the plain paper engine is adaptive."""
+    """The kind of both ``create`` verbs when ``--kind`` is not given:
+    fixed whenever ``--n`` is (a designed N sizes a fixed metric, as in
+    ``repro.Sketch(n=...)``), for non-paper engines (their own knobs
+    size the sketch) and for windowed/decayed metrics; otherwise the
+    paper engine is adaptive."""
     windowed = args.window is not None or args.decay is not None
-    return "adaptive" if args.engine == "paper" and not windowed else "fixed"
+    plain = args.engine == "paper" and not windowed and args.n is None
+    return "adaptive" if plain else "fixed"
 
 
 def _print_quantiles(phis: List[float], values: List[float]) -> None:
@@ -394,18 +397,15 @@ def _print_quantiles(phis: List[float], values: List[float]) -> None:
         print(f"phi={phi:g}: {value:g}")
 
 
-def _client_answer(
-    client, args: argparse.Namespace, kind: Callable[[argparse.Namespace], str]
-) -> None:
+def _client_answer(client, args: argparse.Namespace) -> None:
     """The actions both client verbs answer alike -- create, query,
-    cdf, stats, drain -- on a ``QuantileClient`` or a ``ClusterClient``.
-    *kind* maps the create arguments to the default sketch kind."""
+    cdf, stats, drain -- on a ``QuantileClient`` or a ``ClusterClient``."""
     import json
 
     if args.action == "create":
         created = client.create(
             args.name,
-            kind=args.kind or kind(args),
+            kind=args.kind or _default_kind(args),
             eps=args.epsilon,
             n=args.n,
             policy=args.policy,
@@ -465,7 +465,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             seq, path = client.snapshot()
             print(f"snapshot at seq {seq}: {path}")
         else:
-            _client_answer(client, args, _default_kind)
+            _client_answer(client, args)
     return 0
 
 
@@ -651,13 +651,6 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     return 4 if n_syncing else 0
 
 
-def _cluster_kind(args: argparse.Namespace) -> str:
-    """``cluster client create``'s kind when ``--kind`` is not given:
-    also fixed whenever ``--n`` is, because only fixed-N metrics merge,
-    and merging is what the cluster's fan-in rides on."""
-    return "fixed" if args.n is not None else _default_kind(args)
-
-
 def _cmd_cluster_client(args: argparse.Namespace) -> int:
     from .cluster import ClusterClient
 
@@ -691,7 +684,7 @@ def _cmd_cluster_client(args: argparse.Namespace) -> int:
                     f"owners=[{owners}]"
                 )
         else:
-            _client_answer(client, args, _cluster_kind)
+            _client_answer(client, args)
     return 0
 
 
@@ -817,11 +810,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
 
 
-def _add_create_flags(parser: argparse.ArgumentParser, kind_help: str) -> None:
+def _add_create_flags(parser: argparse.ArgumentParser) -> None:
     """The metric-definition arguments of both ``create`` verbs."""
     parser.add_argument("name")
     parser.add_argument(
-        "--kind", choices=("fixed", "adaptive"), default=None, help=kind_help
+        "--kind",
+        choices=("fixed", "adaptive"),
+        default=None,
+        help=(
+            "fixed or adaptive; defaults to fixed whenever --n is given, "
+            "for the kll and frugal engines and for windowed/decayed "
+            "metrics, and to adaptive otherwise"
+        ),
     )
     parser.add_argument(
         "--engine",
@@ -1026,13 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     actions = client.add_subparsers(dest="action", required=True)
 
-    _add_create_flags(
-        actions.add_parser("create", help="create a metric"),
-        kind_help=(
-            "paper engine: adaptive (default) or fixed; other engines "
-            "and windowed/decayed metrics are always fixed"
-        ),
-    )
+    _add_create_flags(actions.add_parser("create", help="create a metric"))
 
     c_ingest = actions.add_parser(
         "ingest", help="ingest values from arguments or stdin"
@@ -1334,12 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_create_flags(
         cl_actions.add_parser(
             "create", help="create a metric on every live node"
-        ),
-        kind_help=(
-            "adaptive or fixed; defaults to fixed whenever --n is given "
-            "(only fixed-N metrics merge in the cluster fan-in), and as "
-            "for `client create` otherwise"
-        ),
+        )
     )
 
     cc_ingest = cl_actions.add_parser(

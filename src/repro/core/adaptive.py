@@ -118,7 +118,6 @@ class AdaptiveQuantileSketch:
         initial_capacity: int = 4096,
         policy: str = "new",
         eps: Optional[float] = None,
-        kernels: Optional[bool] = None,
     ) -> None:
         if (epsilon is None) == (eps is None):
             raise ConfigurationError(
@@ -138,7 +137,6 @@ class AdaptiveQuantileSketch:
         self.policy = policy
         self.initial_capacity = int(initial_capacity)
         self.stage_epsilon = epsilon * _STAGE_FRACTION
-        self._kernels = kernels
         #: retired stages, each a finished framework holding one buffer
         self._closed: List[QuantileFramework] = []
         self._capacity = int(initial_capacity)
@@ -153,11 +151,7 @@ class AdaptiveQuantileSketch:
     def _new_stage(self, capacity: int) -> QuantileFramework:
         plan = self._plan(capacity)
         return QuantileFramework(
-            plan.b,
-            plan.k,
-            policy=self.policy,
-            designed_n=capacity,
-            kernels=self._kernels,
+            plan.b, plan.k, policy=self.policy, designed_n=capacity
         )
 
     # -- ingest ------------------------------------------------------------

@@ -101,9 +101,6 @@ class SketchBank:
     eps:
         Keyword alias for *epsilon* (the facade spelling); give exactly
         one of the two.
-    kernels:
-        Per-bank kernel override forwarded to every materialised
-        framework (``None`` follows the global switch).
     """
 
     def __init__(
@@ -116,7 +113,6 @@ class SketchBank:
         n_sketches: int = 0,
         max_sketches: Optional[int] = None,
         eps: Optional[float] = None,
-        kernels: Optional[bool] = None,
     ) -> None:
         if (epsilon is None) == (eps is None):
             raise ConfigurationError(
@@ -142,7 +138,6 @@ class SketchBank:
         self.policy = policy
         self.offset_mode = offset_mode
         self.max_sketches = max_sketches
-        self._kernels = kernels
         self._sketches: List[QuantileFramework] = []
         if n_sketches:
             self._materialize_through(n_sketches - 1)
@@ -177,7 +172,6 @@ class SketchBank:
                 policy=self.policy,
                 offset_mode=self.offset_mode,
                 designed_n=self.design_n,
-                kernels=self._kernels,
             )
             fw._mode = "numeric"  # banks are numeric-only by construction
             self._sketches.append(fw)

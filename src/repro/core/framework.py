@@ -74,12 +74,6 @@ class QuantileFramework:
     strict_capacity:
         Raise :class:`~repro.core.errors.CapacityExceededError` when more
         than *designed_n* elements arrive instead of degrading gracefully.
-    kernels:
-        Per-instance override for the vectorised selection kernels:
-        ``True``/``False`` force them on/off for this summary's COLLAPSE
-        and OUTPUT calls, ``None`` (default) follows the global
-        :func:`repro.core.kernels.is_enabled` switch.  Results are
-        bit-identical either way.
     """
 
     # One framework per metric in the service: slots keep the per-object
@@ -91,7 +85,6 @@ class QuantileFramework:
         "designed_n",
         "strict_capacity",
         "recorder",
-        "_kernels",
         "_offsets",
         "_full",
         "_n",
@@ -116,7 +109,6 @@ class QuantileFramework:
         record_tree: bool = False,
         designed_n: Optional[int] = None,
         strict_capacity: bool = False,
-        kernels: Optional[bool] = None,
     ) -> None:
         if b < 2:
             raise ConfigurationError(f"need at least b=2 buffers, got {b}")
@@ -131,7 +123,6 @@ class QuantileFramework:
         self.policy = make_policy(policy)
         self.designed_n = designed_n
         self.strict_capacity = strict_capacity
-        self._kernels = kernels
         self._offsets = OffsetSelector(offset_mode)
         self.recorder: Optional[TreeRecorder] = (
             TreeRecorder() if record_tree else None
@@ -442,7 +433,7 @@ class QuantileFramework:
     def _do_collapse(self, group: Sequence[Buffer]) -> None:
         weight = sum(buf.weight for buf in group)
         offset = self._offsets.offset_for(weight)
-        result = collapse(group, offset, use_kernels=self._kernels)
+        result = collapse(group, offset)
         group_ids = {buf.buffer_id for buf in group}
         self._full = [
             buf for buf in self._full if buf.buffer_id not in group_ids
@@ -486,7 +477,7 @@ class QuantileFramework:
         if self._n == 0:
             raise EmptySummaryError("no elements have been ingested")
         bufs = self._snapshot_buffers()
-        answers = output(bufs, list(phis), self._n, use_kernels=self._kernels)
+        answers = output(bufs, list(phis), self._n)
         if _obs.ENABLED:
             _obs.on_output(self, len(answers))
         # the stream extremes are tracked exactly (O(1)); answer the end
@@ -571,7 +562,7 @@ class QuantileFramework:
             self.recorder.on_output(self._full)
         if _obs.ENABLED:
             _obs.on_output(self, len(phis))
-        return output(self._full, list(phis), self._n, use_kernels=self._kernels)
+        return output(self._full, list(phis), self._n)
 
     # -- merging ------------------------------------------------------------------
 

@@ -1,62 +1,42 @@
 """Vectorised hot-path kernels for the MRL framework's numeric fast path.
 
-Every expensive step of the framework funnels through two primitives:
-merging the contents of ``c`` buffers into one weighted sorted sequence
-(COLLAPSE, OUTPUT, rank queries) and sorting the raw stream into fresh
-buffers (NEW).  Both can exploit a structural invariant the generic code
-ignores: **every** :class:`~repro.core.buffer.Buffer` is *already sorted*
-by construction -- leaves are sorted on creation and COLLAPSE outputs are
-selections from a sorted merge.  This module holds the vectorised kernels
-that exploit it:
+COLLAPSE and OUTPUT are one weighted selection over the contents of ``c``
+buffers, and **every** :class:`~repro.core.buffer.Buffer` is *already
+sorted* by construction (leaves are sorted on creation, COLLAPSE outputs
+are selections from a sorted merge).  The primitives that run:
 
-``merge_sorted_runs``
-    a stable c-way merge of sorted weighted runs.  Two strategies are
-    provided: ``"searchsorted"`` (a pairwise tournament merge -- each round
-    computes every element's position in the merged output with two
-    ``np.searchsorted`` calls and scatters) and ``"stable"`` (concatenate
-    and ``np.sort(kind="stable")``; numpy's stable sort is timsort, whose
-    run detection + galloping merge *is* a c-way merge of the pre-sorted
-    runs, at a fraction of the Python-call overhead for small runs).
-    ``"auto"`` picks by input size: measured on this code base the
-    explicit pairwise merge only amortises its extra numpy-call overhead
-    for large merges, so small COLLAPSEs take the timsort route.
-
-``weighted_select_runs``
-    weighted positional selection straight off sorted runs.  The dominant
-    COLLAPSE case (all inputs share one weight -- e.g. every leaf collapse)
-    degenerates to pure index arithmetic: position ``t`` of the weighted
-    sequence is element ``(t - 1) // w`` of the plain merge, so no weight
-    vector, cumsum or binary search is needed at all.  Mixed weights use a
-    stable argsort plus a cumulative-weight search, with the per-element
-    weight vector derived from the argsort permutation itself (element
-    ``order[i]`` came from run ``order[i] // k`` when all runs share a
-    length) instead of materialising per-run weight arrays.
+``weighted_select_runs`` / ``collapse_select_runs``
+    weighted positional selection straight off sorted runs.  With one
+    weight ``w`` for every run (every leaf collapse) position ``t`` is
+    element ``(t - 1) // w`` of the plain merge, and the COLLAPSE grid
+    ``j * W + offset`` is a strided view of it; mixed weights use one
+    argsort plus a cumulative-weight search.
 
 ``weighted_select_argsort``
-    the reference implementation (global stable argsort over the
-    concatenated values, exactly the pre-kernel code path).  It is kept
-    callable forever: the property tests assert the kernels match it
-    bit-for-bit, and it is the automatic fallback whenever a kernel
-    precondition does not hold or the kernels are disabled.
+    the reference: a global stable argsort over the concatenated values,
+    kept callable forever as the oracle the kernels are tested against.
 
-``collapse_pad_counts``
-    O(1) padding arithmetic for COLLAPSE outputs.  Padding sentinels sort
-    to the extremes, so the merged weighted sequence starts with exactly
-    ``sum(n_low_pad * weight)`` positions of ``-inf`` and ends with
-    ``sum(n_high_pad * weight)`` positions of ``+inf``; counting selected
-    targets inside those spans replaces two full ``isinf`` scans of the
-    output.
+``collapse_pad_counts`` / ``weighted_rank_runs``
+    O(1) pad counts of a COLLAPSE output and the per-run binary searches
+    behind ``rank``/``cdf``.
 
-Disabling the kernels (``REPRO_KERNELS=0`` in the environment, or
-:func:`set_enabled`) routes every caller through the reference argsort
-path; the results are identical either way, which the test suite asserts.
+``sort_rows``
+    every NEW buffer of a batch in one ``np.sort(axis=1)``.
+
+``frugal2u_update``
+    the bank-wide Frugal-2U step in vector rounds across sketches, with
+    :func:`frugal2u_update_scalar` as its per-element reference.
+
+One global switch (``REPRO_KERNELS=0`` in the environment, or
+:func:`set_enabled`) routes every caller through the references instead;
+the results are bit-identical either way, which the test suite asserts.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +45,6 @@ from ..obs import hooks as _obs
 __all__ = [
     "is_enabled",
     "set_enabled",
-    "merge_sorted_runs",
     "weighted_select_runs",
     "weighted_select_argsort",
     "collapse_pad_counts",
@@ -76,10 +55,6 @@ __all__ = [
     "frugal2u_update",
     "frugal2u_update_scalar",
 ]
-
-# Pairwise searchsorted merging issues ~6 numpy calls per merge round; below
-# this many total elements the timsort route wins on call overhead alone.
-_SEARCHSORTED_MIN_ELEMENTS = 1 << 16
 
 _enabled = os.environ.get("REPRO_KERNELS", "1").lower() not in (
     "0",
@@ -97,93 +72,6 @@ def set_enabled(flag: bool) -> None:
     """Globally enable/disable the kernels (used by tests and benchmarks)."""
     global _enabled
     _enabled = bool(flag)
-
-
-# -- merging -----------------------------------------------------------------
-
-
-def _merge_two(
-    va: np.ndarray,
-    wa: np.ndarray,
-    vb: np.ndarray,
-    wb: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable merge of two sorted weighted runs via positional scatter.
-
-    Each element's slot in the merged output is its own index plus the
-    number of elements of the *other* run that precede it; ties break
-    towards run ``a`` (``side="left"`` / ``"right"``), matching the
-    stability of a concatenated ``[a, b]`` argsort.
-    """
-    na, nb = len(va), len(vb)
-    out_v = np.empty(na + nb, dtype=va.dtype)
-    out_w = np.empty(na + nb, dtype=np.int64)
-    ia = np.arange(na, dtype=np.intp) + np.searchsorted(vb, va, side="left")
-    ib = np.arange(nb, dtype=np.intp) + np.searchsorted(va, vb, side="right")
-    out_v[ia] = va
-    out_w[ia] = wa
-    out_v[ib] = vb
-    out_w[ib] = wb
-    return out_v, out_w
-
-
-def merge_sorted_runs(
-    runs: Sequence[np.ndarray],
-    weights: Sequence[int],
-    *,
-    strategy: str = "auto",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge sorted *runs* into one sorted sequence with per-element weights.
-
-    Equal values keep run order (run 0 before run 1, ...), exactly like a
-    stable argsort over the concatenation, so downstream weighted rank
-    arithmetic is bit-identical across strategies.
-
-    Parameters
-    ----------
-    runs:
-        Sorted 1-d float64 arrays (each a buffer's ``values``).
-    weights:
-        One integer weight per run.
-    strategy:
-        ``"stable"`` (concatenate + timsort), ``"searchsorted"`` (pairwise
-        tournament merge) or ``"auto"``.
-    """
-    if len(runs) != len(weights) or not runs:
-        raise ValueError("need one weight per run and at least one run")
-    if len(runs) == 1:
-        return runs[0], np.full(len(runs[0]), weights[0], dtype=np.int64)
-    total = sum(len(r) for r in runs)
-    if strategy == "auto":
-        strategy = (
-            "searchsorted"
-            if total >= _SEARCHSORTED_MIN_ELEMENTS
-            else "stable"
-        )
-    if strategy == "searchsorted":
-        items: List[Tuple[np.ndarray, np.ndarray]] = [
-            (np.asarray(r), np.full(len(r), w, dtype=np.int64))
-            for r, w in zip(runs, weights)
-        ]
-        # Tournament order pairs neighbours, so equal elements stay grouped
-        # by ascending original run index at every round.
-        while len(items) > 1:
-            merged = [
-                _merge_two(*items[i], *items[i + 1])
-                for i in range(0, len(items) - 1, 2)
-            ]
-            if len(items) % 2:
-                merged.append(items[-1])
-            items = merged
-        return items[0]
-    if strategy != "stable":
-        raise ValueError(f"unknown merge strategy {strategy!r}")
-    vals = np.concatenate(runs)
-    order = np.argsort(vals, kind="stable")
-    lengths = np.fromiter((len(r) for r in runs), dtype=np.int64)
-    run_of = np.repeat(np.arange(len(runs), dtype=np.intp), lengths)
-    warr = np.asarray(weights, dtype=np.int64)
-    return vals[order], warr[run_of[order]]
 
 
 # -- weighted selection ------------------------------------------------------
@@ -213,8 +101,6 @@ def weighted_select_runs(
     runs: Sequence[np.ndarray],
     weights: Sequence[int],
     targets: np.ndarray,
-    *,
-    enabled: Optional[bool] = None,
 ) -> np.ndarray:
     """Select the elements at weighted positions *targets* of sorted *runs*.
 
@@ -224,10 +110,9 @@ def weighted_select_runs(
     identical to :func:`weighted_select_argsort` for any input; the runs
     being sorted only makes it faster (numpy's stable sorts gallop through
     pre-sorted runs), it is not required for correctness of this entry
-    point.  *enabled* overrides the global kernel switch for this call
-    (``None`` follows it); results are bit-identical either way.
+    point.
     """
-    if not (_enabled if enabled is None else enabled):
+    if not _enabled:
         if _obs.ENABLED:
             _obs.on_kernel("weighted_select", "argsort")
         return weighted_select_argsort(runs, weights, targets)
@@ -273,19 +158,15 @@ def collapse_select_runs(
     out_weight: int,
     offset: int,
     k: int,
-    *,
-    enabled: Optional[bool] = None,
 ) -> np.ndarray:
     """COLLAPSE selection: positions ``j * out_weight + offset``, j < k.
 
     The equally-spaced target grid lets the dominant uniform-weight case
     (every leaf collapse) reduce to a strided view of the plain merge:
     position ``j*W + offset`` is merge index ``j*c + (offset-1)//w``, so
-    no target vector, cumsum or binary search is ever built.  *enabled*
-    overrides the global kernel switch for this call (``None`` follows
-    it); results are bit-identical either way.
+    no target vector, cumsum or binary search is ever built.
     """
-    if not (_enabled if enabled is None else enabled):
+    if not _enabled:
         if _obs.ENABLED:
             _obs.on_kernel("collapse_select", "argsort")
         targets = np.arange(k, dtype=np.int64) * out_weight + offset
@@ -308,7 +189,7 @@ def collapse_select_runs(
     if _obs.ENABLED:
         _obs.on_kernel("collapse_select", "mixed_weights")
     targets = np.arange(k, dtype=np.int64) * out_weight + offset
-    return weighted_select_runs(runs, weights, targets, enabled=enabled)
+    return weighted_select_runs(runs, weights, targets)
 
 
 def weighted_rank_runs(
@@ -701,8 +582,6 @@ def frugal2u_update(
     starts: np.ndarray,
     stops: np.ndarray,
     bases: np.ndarray,
-    *,
-    enabled: Optional[bool] = None,
 ) -> int:
     """Apply one partitioned chunk of Frugal-2U updates to bank state.
 
@@ -712,16 +591,13 @@ def frugal2u_update(
     index within the sketch)``, so the result is bit-identical no matter
     how the stream was batched or partitioned -- the crash-recovery and
     bank-vs-direct property tests rest on this.  Returns the number of
-    step adjustments applied (0 when obs is disabled).  *enabled*
-    overrides the global kernel switch (``None`` follows it); the scalar
-    fallback produces bit-identical state.
+    step adjustments applied (0 when obs is disabled).  With the kernels
+    disabled the scalar reference runs; it produces bit-identical state.
     """
     n_runs = len(run_ids)
     if n_runs == 0 or len(values) == 0:
         return 0
-    use_rounds = (_enabled if enabled is None else enabled) and (
-        n_runs >= _FRUGAL_ROUNDS_MIN_RUNS
-    )
+    use_rounds = _enabled and n_runs >= _FRUGAL_ROUNDS_MIN_RUNS
     if _obs.ENABLED:
         _obs.on_kernel("frugal2u", "rounds" if use_rounds else "scalar")
     if use_rounds:

@@ -20,11 +20,10 @@ Both COLLAPSE and OUTPUT reduce to one shared primitive implemented here,
 :func:`weighted_select`: pick the elements at given 1-indexed positions of
 the sequence obtained by sorting all buffer contents together with each
 element duplicated ``weight`` times.  The duplicates are never materialised
--- the numeric path runs the sorted-run merge kernels of
-:mod:`repro.core.kernels` (buffers are sorted by construction, so a full
-argsort is never needed; the argsort reference remains as the automatic
-fallback), the generic path uses the counting merge described in Section
-3.2 of the paper.
+-- the numeric path runs the sorted-run selection kernels of
+:mod:`repro.core.kernels` (the argsort reference stands behind their one
+global switch), the generic path uses the counting merge described in
+Section 3.2 of the paper.
 """
 
 from __future__ import annotations
@@ -93,28 +92,6 @@ class OffsetSelector:
         return (weight + 2) // 2 if high else weight // 2
 
 
-def _weighted_select_numeric(
-    buffers: Sequence[Buffer],
-    targets: Sequence[int],
-    use_kernels: "bool | None" = None,
-) -> np.ndarray:
-    """Vectorised weighted positional selection over numpy-backed buffers.
-
-    Buffer values are sorted by construction, so selection runs on the
-    sorted-run kernels; element i of the merged order covers the half-open
-    weighted position interval (cum[i-1], cum[i]].  With the kernels
-    disabled this is exactly the reference global-argsort path.
-    """
-    runs = [b.values for b in buffers]
-    weights = [b.weight for b in buffers]
-    return kernels.weighted_select_runs(
-        runs,
-        weights,
-        np.asarray(targets, dtype=np.int64),
-        enabled=use_kernels,
-    )
-
-
 def _weighted_select_generic(
     buffers: Sequence[Buffer], targets: Sequence[int]
 ) -> List[Any]:
@@ -150,16 +127,13 @@ def _weighted_select_generic(
 def weighted_select(
     buffers: Sequence[Buffer],
     targets: Sequence[int],
-    *,
-    use_kernels: "bool | None" = None,
 ) -> Sequence[Any]:
     """Select elements at 1-indexed *targets* of the weighted merged order.
 
     Conceptually, each element of each buffer is duplicated ``weight``
     times, all copies are sorted together, and the elements at the given
     positions are returned (in the order of the *sorted* targets).  The
-    duplication is purely logical.  *use_kernels* overrides the global
-    kernel switch for this call (``None`` follows it).
+    duplication is purely logical.
     """
     if not buffers:
         raise ConfigurationError("weighted_select needs at least one buffer")
@@ -173,7 +147,13 @@ def weighted_select(
             f"[{min(targets)}, {max(targets)}]"
         )
     if all(b.is_numeric for b in buffers):
-        return _weighted_select_numeric(buffers, sorted(targets), use_kernels)
+        # buffer values are sorted by construction, so the sorted-run
+        # kernels select directly (the argsort reference when disabled)
+        return kernels.weighted_select_runs(
+            [b.values for b in buffers],
+            [b.weight for b in buffers],
+            np.asarray(sorted(targets), dtype=np.int64),
+        )
     return _weighted_select_generic(buffers, targets)
 
 
@@ -201,7 +181,6 @@ def collapse(
     offset: "int | OffsetSelector",
     *,
     level: int | None = None,
-    use_kernels: "bool | None" = None,
 ) -> Buffer:
     """COLLAPSE ``c >= 2`` full buffers into one (Section 3.2).
 
@@ -253,12 +232,7 @@ def collapse(
                 f"[{offset}, {(k - 1) * weight + offset}]"
             )
         out_values: Any = kernels.collapse_select_runs(
-            [b.values for b in buffers],
-            weights,
-            weight,
-            offset,
-            k,
-            enabled=use_kernels,
+            [b.values for b in buffers], weights, weight, offset, k
         )
         n_low, n_high = kernels.collapse_pad_counts(
             low_w, high_w, total, weight, offset, k
@@ -271,7 +245,7 @@ def collapse(
             n_high_pad=n_high,
         )
     targets = [j * weight + offset for j in range(k)]
-    values = weighted_select(buffers, targets, use_kernels=use_kernels)
+    values = weighted_select(buffers, targets)
     if isinstance(values, np.ndarray):
         out_values = values
     else:
@@ -290,8 +264,6 @@ def output(
     buffers: Sequence[Buffer],
     phis: Sequence[float],
     n_real: int,
-    *,
-    use_kernels: "bool | None" = None,
 ) -> List[Any]:
     """OUTPUT: read the approximate quantiles off the final full buffers.
 
@@ -329,9 +301,7 @@ def output(
         rank = min(max(int(np.ceil(phi * n_real)), 1), n_real)
         targets.append(min(rank + low_pad_weighted, last_real))
     order = np.argsort(targets, kind="stable")
-    selected = weighted_select(
-        buffers, [targets[i] for i in order], use_kernels=use_kernels
-    )
+    selected = weighted_select(buffers, [targets[i] for i in order])
     results: List[Any] = [None] * len(targets)
     for out_pos, orig_pos in enumerate(order):
         results[orig_pos] = selected[out_pos]

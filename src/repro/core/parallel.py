@@ -88,7 +88,6 @@ def recombine(
         max(fw.k for fw in inputs),
         policy=first.policy,
         offset_mode=first._offsets.mode,
-        kernels=first._kernels,
     )
     out._full = [buf for fw in inputs for buf in fw._snapshot_buffers()]
     out._n = sum(fw.n for fw in inputs)
@@ -120,7 +119,6 @@ def _worker_main(
     k: int,
     policy: str,
     offset_mode: str,
-    kernels: Optional[bool] = None,
 ) -> None:
     """Worker-process loop: ingest chunks, answer snapshot requests.
 
@@ -129,9 +127,7 @@ def _worker_main(
     reported on the next ``snapshot``/``close`` round-trip instead of
     being lost.
     """
-    fw = QuantileFramework(
-        b, k, policy=policy, offset_mode=offset_mode, kernels=kernels
-    )
+    fw = QuantileFramework(b, k, policy=policy, offset_mode=offset_mode)
     error: Optional[str] = None
     while True:
         try:
@@ -179,9 +175,6 @@ class ParallelQuantileEngine:
         ``n`` elements.
     policy / offset_mode:
         Forwarded to every worker's framework.
-    kernels:
-        Per-engine kernel override forwarded to every worker framework
-        and the final OUTPUT (``None`` follows the global switch).
     combine_fanin:
         When set (the >100-node regime of Section 4.9), worker root
         buffers are first merged in groups of at most this many buffers
@@ -191,7 +184,10 @@ class ParallelQuantileEngine:
         ``"sync"`` (sequential in-process workers, the default) or
         ``"process"`` (one OS process per worker; see the module
         docstring).  Both produce the identical buffer dataflow for the
-        same dispatch sequence.
+        same dispatch sequence.  Kernels follow the global switch of the
+        process that runs them (:func:`repro.core.kernels.set_enabled`):
+        a process worker inherits it on fork and reads ``REPRO_KERNELS``
+        on spawn; answers are bit-identical either way.
 
     Elements are routed round-robin by default (``dispatch``) or appended
     to an explicit worker via ``extend_worker`` for static range
@@ -212,7 +208,6 @@ class ParallelQuantileEngine:
         backend: str = "sync",
         eps: Optional[float] = None,
         n: Optional[int] = None,
-        kernels: Optional[bool] = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {n_workers}")
@@ -251,7 +246,6 @@ class ParallelQuantileEngine:
         self.b = b
         self.k = k
         self.combine_fanin = combine_fanin
-        self._kernels = kernels
         self._rr = 0
         self._closed = False
         if backend == "process":
@@ -266,7 +260,7 @@ class ParallelQuantileEngine:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, b, k, policy, offset_mode, kernels),
+                    args=(child_conn, b, k, policy, offset_mode),
                     daemon=True,
                 )
                 proc.start()
@@ -275,9 +269,7 @@ class ParallelQuantileEngine:
                 self._conns.append(parent_conn)
         else:
             self.workers = [
-                QuantileFramework(
-                    b, k, policy=policy, offset_mode=offset_mode, kernels=kernels
-                )
+                QuantileFramework(b, k, policy=policy, offset_mode=offset_mode)
                 for _ in range(n_workers)
             ]
             self._procs = []
@@ -404,9 +396,7 @@ class ParallelQuantileEngine:
                 raise WorkerError(f"worker {i} died: {exc}") from exc
             if status != "ok":
                 raise WorkerError(f"worker {i} failed: {payload}")
-            fw = serialize.loads(payload)
-            fw._kernels = self._kernels
-            frameworks.append(fw)
+            frameworks.append(serialize.loads(payload))
         return frameworks
 
     def _recombined(self) -> QuantileFramework:

@@ -266,7 +266,6 @@ class SampledQuantileFramework:
         seed: Optional[int] = None,
         plan: Optional[SamplingPlan] = None,
         eps: Optional[float] = None,
-        kernels: Optional[bool] = None,
     ) -> None:
         if epsilon is not None and eps is not None:
             raise ConfigurationError(
@@ -288,9 +287,7 @@ class SampledQuantileFramework:
         # eps2 slack; the inner framework's bound degrades gracefully anyway.
         self.keep_probability = min(1.0, self.plan.sample_size / n)
         self._rng = np.random.default_rng(seed)
-        self.inner = QuantileFramework(
-            self.plan.b, self.plan.k, policy=policy, kernels=kernels
-        )
+        self.inner = QuantileFramework(self.plan.b, self.plan.k, policy=policy)
         self._n_seen = 0
 
     @property

@@ -64,10 +64,6 @@ class QuantileSketch:
     eps:
         Keyword alias for *epsilon* (the facade spelling); give exactly
         one of the two.
-    kernels:
-        Per-sketch kernel override forwarded to the underlying framework
-        (``None`` follows the global switch); results are bit-identical
-        either way.
     """
 
     def __init__(
@@ -82,7 +78,6 @@ class QuantileSketch:
         seed: Optional[int] = None,
         record_tree: bool = False,
         eps: Optional[float] = None,
-        kernels: Optional[bool] = None,
     ) -> None:
         if (epsilon is None) == (eps is None):
             raise ConfigurationError(
@@ -111,7 +106,6 @@ class QuantileSketch:
                 policy=policy,
                 seed=seed,
                 plan=plan,
-                kernels=kernels,
             )
             self.uses_sampling = True
         else:
@@ -122,7 +116,6 @@ class QuantileSketch:
                 offset_mode=offset_mode,
                 designed_n=design_n,
                 record_tree=record_tree,
-                kernels=kernels,
             )
             self.uses_sampling = False
 
@@ -263,22 +256,17 @@ def approximate_quantiles(
     epsilon: float,
     *,
     policy: str = "new",
-    kernels: Optional[bool] = None,
 ) -> List[Any]:
     """One-shot convenience: ``epsilon``-approximate quantiles of *data*.
 
     Sizes the summary exactly for ``len(data)`` and answers all *phis* in a
     single pass with ``b * k`` memory -- the library's "hello world".
-    ``kernels`` overrides the global vectorised-kernel switch for this
-    call (results are bit-identical either way).
     """
     arr = data if isinstance(data, np.ndarray) else list(data)
     n = len(arr)
     if n == 0:
         raise ConfigurationError("data must be non-empty")
     plan = optimal_parameters(epsilon, n, policy=policy)
-    fw = QuantileFramework(
-        plan.b, plan.k, policy=policy, designed_n=n, kernels=kernels
-    )
+    fw = QuantileFramework(plan.b, plan.k, policy=policy, designed_n=n)
     fw.extend(arr)
     return fw.quantiles(list(phis))

@@ -164,9 +164,10 @@ class MetricConfig:
 
     The constructor is the one place these are validated, and it stores
     them canonically: a window without a slide tumbles (slide ==
-    window), so two spellings of one metric compare ``==``.  Sketch-level
-    rules (the slide divides the window, frugal windows tumble) stay
-    with :class:`~repro.windows.WindowedSketch`.
+    window), so two spellings of one metric compare ``==``.  It refuses
+    a ring bucket below :data:`repro.windows.MIN_BUCKET_S`, as the ring
+    does; the other sketch-level rules (the slide divides the window,
+    frugal windows tumble) stay with :class:`~repro.windows.WindowedSketch`.
     """
 
     __slots__ = (
@@ -250,6 +251,17 @@ class MetricConfig:
         if (window_s or decay_s) and kind != "fixed":
             raise ConfigurationError(
                 "windowed/decayed metrics must be kind='fixed'"
+            )
+        if window_s or decay_s:
+            from ..windows import (
+                DECAY_GENERATIONS_PER_HALF_LIFE,
+                check_bucket_width,
+            )
+
+            check_bucket_width(
+                (slide_s or window_s)
+                if window_s
+                else decay_s / DECAY_GENERATIONS_PER_HALF_LIFE
             )
         values = (
             kind, epsilon, n, policy, engine,

@@ -12,13 +12,14 @@ domain, never where answers come from).
 
 Each shard owns a :class:`~repro.core.bank.SketchBank` into which every
 fixed metric's framework is adopted.  Ingest batches are *enqueued* per
-shard and *applied* in one shot: all pending fixed-metric batches feed
-the bank's vectorised :meth:`~repro.core.bank.SketchBank.extend_pairs`
-(one stable partition for the whole super-batch), adaptive metrics take
-their batches directly, in arrival order.  Because the bank is
-bit-identical to per-sketch feeding, the apply order is equivalent to
-replaying the journal one record at a time -- the property crash
-recovery relies on.
+shard and *applied* in one drain: pending batches are grouped per metric
+(arrival order kept), each fixed metric's group is concatenated into one
+run through :meth:`~repro.core.bank.SketchBank.extend_single`, frugal
+metrics share one :meth:`~repro.core.frugal.FrugalBank.extend_pairs`
+kernel pass, and adaptive and windowed metrics take their batches
+directly.  Because every sketch sees exactly its own subsequence in
+arrival order, the drain is equivalent to replaying the journal one
+record at a time -- the property crash recovery relies on.
 
 The registry is synchronous and transport-free; the server's reactor is a
 thin shell over it, and tests drive it directly.
@@ -155,9 +156,10 @@ class _Shard:
     """One batching domain: the engine banks plus the queue draining into
     them.
 
-    Paper-engine fixed metrics are adopted into ``bank``; frugal metrics
-    live on rows of ``fbank`` (flat-array Frugal-2U state -- tens of
-    bytes per metric, one vectorised kernel pass per drain): CREATE takes
+    Paper-engine fixed metrics are adopted into ``bank`` (one
+    ``extend_single`` run per metric per drain); frugal metrics live on
+    rows of ``fbank`` (flat-array Frugal-2U state -- tens of bytes per
+    metric, one vectorised kernel pass per drain): CREATE takes
     a fresh row, restores adopt their rebuilt sketch into one.  Both
     banks are bit-identical to per-sketch feeding, which is what keeps
     journal replay exact.

@@ -79,6 +79,11 @@ DEFAULT_BUCKET_DESIGN_N = 1 << 30
 #: one decoded payload can make the process allocate: 1 MiB of slots.
 MAX_RING_BUCKETS = 1 << 16
 
+#: narrowest bucket a ring may have, in seconds: the 1 ms of the
+#: smallest unit :func:`parse_duration` names.  A narrower bucket has
+#: an index no real timestamp can reach, so every ingest would fail.
+MIN_BUCKET_S = 0.001
+
 #: decay resolution: generations per half-life, and how small a weight a
 #: generation may decay to before it falls off the ring entirely
 DECAY_GENERATIONS_PER_HALF_LIFE = 4
@@ -163,6 +168,18 @@ def window_config(
     return window_s, slide_s, decay_s
 
 
+def check_bucket_width(bucket_s: float) -> None:
+    """Refuse a ring bucket narrower than :data:`MIN_BUCKET_S`: the
+    slide (or the window, tumbling) of a window, a quarter of a decay's
+    half-life."""
+    if not bucket_s >= MIN_BUCKET_S:
+        raise ConfigurationError(
+            f"bucket width {bucket_s:g}s is below the {MIN_BUCKET_S:g}s "
+            "floor (slide, or half-life / "
+            f"{DECAY_GENERATIONS_PER_HALF_LIFE} for decay)"
+        )
+
+
 class _TimeBucketedSketch:
     """Shared machinery: the ring of per-bucket engine sketches.
 
@@ -194,6 +211,7 @@ class _TimeBucketedSketch:
             raise ConfigurationError(f"need 0 < eps < 1, got {eps}")
         if n_buckets < 1:
             raise ConfigurationError(f"need >= 1 bucket, got {n_buckets}")
+        check_bucket_width(bucket_s)
         self.eps = float(eps)
         self.engine = engine
         self.policy = policy
@@ -770,19 +788,19 @@ class ExpDecaySketch(_TimeBucketedSketch):
             raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
         lo = min(float(sk.quantile(0.0)) for _, sk in pairs)
         hi = max(float(sk.quantile(1.0)) for _, sk in pairs)
-        if lo == hi:
-            return lo
         target = phi * self._weighted_total()
-        # bisect for the smallest value whose weighted rank reaches the
-        # target; 64 halvings exhaust float64 resolution
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
+        if lo == hi or self._weighted_rank(lo) >= target:
+            return lo
+        # bisect down to adjacent floats for the smallest value whose
+        # weighted rank reaches the target: with a step-function rank
+        # that is a stored value, not a float just above one
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
             if self._weighted_rank(mid) >= target:
                 hi = mid
             else:
                 lo = mid
+            mid = 0.5 * (lo + hi)
         return hi
 
     def quantiles(self, phis: Sequence[float]) -> List[float]:

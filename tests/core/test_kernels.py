@@ -10,13 +10,13 @@ capacities, and ``+/-inf`` padding sentinels -- through both paths.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.buffer import Buffer
 from repro.core.framework import QuantileFramework
+from repro.core.frugal import FrugalBank
 from repro.core.operations import OffsetSelector, collapse, weighted_select
 
 COMMON = settings(
@@ -134,22 +134,6 @@ class TestSelectEquivalence:
 
     @COMMON
     @given(data=st.data())
-    def test_merge_strategies_agree(self, data):
-        buffers = data.draw(buffer_sets(same_k=False))
-        runs = [b.values for b in buffers]
-        weights = [b.weight for b in buffers]
-        v1, w1 = kernels.merge_sorted_runs(runs, weights, strategy="stable")
-        v2, w2 = kernels.merge_sorted_runs(runs, weights, strategy="searchsorted")
-        assert np.array_equal(v1, v2)
-        assert np.array_equal(w1, w2)
-        # the merged sequence is the sorted concatenation
-        assert np.array_equal(v1, np.sort(np.concatenate(runs), kind="stable"))
-        assert int(w1.sum()) == sum(
-            w * len(r) for r, w in zip(runs, weights)
-        )
-
-    @COMMON
-    @given(data=st.data())
     def test_collapse_pads_match_value_scan(self, data):
         buffers = data.draw(buffer_sets(min_c=2))
         k = len(buffers[0].values)
@@ -213,18 +197,6 @@ class TestFallback:
         ref = kernels.weighted_select_argsort([values], [4], np.asarray([1, 17, 64]))
         assert np.array_equal(got, ref)
 
-    def test_merge_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            kernels.merge_sorted_runs([], [])
-        with pytest.raises(ValueError):
-            kernels.merge_sorted_runs(
-                [np.arange(3.0)], [1, 2]
-            )
-        with pytest.raises(ValueError):
-            kernels.merge_sorted_runs(
-                [np.arange(3.0), np.arange(3.0)], [1, 1], strategy="bogus"
-            )
-
 
 class TestCollapseOffsetAlternation:
     def test_alternation_preserved_through_kernel_path(self):
@@ -246,3 +218,59 @@ class TestCollapseOffsetAlternation:
             fast = collapse([b for b in bufs], sel_fast)
             assert np.array_equal(fast.values, ref.values)
             assert fast.weight == ref.weight
+
+
+class TestFrugalSwitch:
+    """``set_enabled(False)`` is the only way to the scalar Frugal-2U
+    reference; with enough runs per chunk the kernels take the vector
+    rounds path, and every bank state array must match bit for bit."""
+
+    STATE = ("_m", "_step", "_sign", "_n", "_min", "_max")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_runs=st.integers(kernels._FRUGAL_ROUNDS_MIN_RUNS, 96),
+        zipf_a=st.floats(1.2, 3.0),
+        n_chunks=st.integers(1, 3),
+        phis=st.sampled_from([(0.5, 0.99), (0.01, 0.25, 0.9), (0.5,)]),
+        integer_values=st.booleans(),
+    )
+    def test_rounds_match_scalar_bit_for_bit(
+        self, seed, n_runs, zipf_a, n_chunks, phis, integer_values
+    ):
+        rng = np.random.default_rng(seed)
+        chunks = []
+        for _ in range(n_chunks):
+            # distinct ids per chunk: one run each, so the chunk has
+            # n_runs runs; Zipf-skewed lengths give a few long hot runs
+            ids = rng.choice(2 * n_runs, size=n_runs, replace=False)
+            lengths = np.minimum(rng.zipf(zipf_a, size=n_runs), 300)
+            chunks.append(
+                [
+                    (
+                        int(i),
+                        np.floor(rng.normal(0, 50, n))
+                        if integer_values
+                        else rng.lognormal(0, 2, n),
+                    )
+                    for i, n in zip(ids, lengths)
+                ]
+            )
+
+        def run(enabled):
+            bank = FrugalBank(phis, seed=seed)
+            previous = kernels.is_enabled()
+            kernels.set_enabled(enabled)
+            try:
+                for pairs in chunks:
+                    bank.extend_pairs(pairs)
+            finally:
+                kernels.set_enabled(previous)
+            return bank
+
+        rounds, scalar = run(True), run(False)
+        for name in self.STATE:
+            a, b = getattr(rounds, name), getattr(scalar, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name

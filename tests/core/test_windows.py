@@ -17,16 +17,24 @@ The load-bearing claims from :mod:`repro.windows`:
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.engines import dumps_any, engine_of, loads_any
-from repro.core.errors import ConfigurationError, EmptySummaryError
+from repro.core.errors import (
+    ConfigurationError,
+    EmptySummaryError,
+    StorageError,
+)
 from repro.core.serialize import merge_serialized
 from repro.windows import (
     DECAY_MAGIC,
+    MIN_BUCKET_S,
     WINDOW_MAGIC,
     ExpDecaySketch,
     WindowedSketch,
@@ -90,6 +98,41 @@ def test_window_construction_rejects_bad_grids():
         WindowedSketch(window=60.0, slide=7.0)
     with pytest.raises(ConfigurationError, match="tumbling"):
         WindowedSketch(window=60.0, slide=10.0, engine="frugal")
+
+
+def test_bucket_width_floor():
+    """A bucket below 1 ms indexes no real timestamp: refused where the
+    ring is built, so the facade refuses it and ``extend`` never sees it."""
+    assert MIN_BUCKET_S == 0.001
+    for make in (
+        lambda: WindowedSketch(window=1e-300),
+        lambda: WindowedSketch(window=1.0, slide=0.0005),
+        lambda: ExpDecaySketch(half_life="3ms"),  # generations of 0.75 ms
+        lambda: repro.Sketch(eps=0.01, window=1e-300),
+        lambda: repro.Sketch(eps=0.01, decay=0.002),
+    ):
+        with pytest.raises(ConfigurationError, match="bucket width"):
+            make()
+    assert WindowedSketch(window="6ms", slide="1ms").n_buckets == 6
+    assert ExpDecaySketch(half_life="4ms").bucket_s == MIN_BUCKET_S
+
+
+@pytest.mark.parametrize(
+    "sketch,fields,narrow",
+    [
+        (WindowedSketch(window=60.0, slide=10.0), (60.0, 10.0), (0.003, 0.0005)),
+        (ExpDecaySketch(half_life=60.0), (60.0, 0.0), (0.002, 0.0)),
+    ],
+    ids=["window", "decay"],
+)
+def test_decoded_narrow_bucket_is_storage_error(sketch, fields, narrow):
+    raw = sketch.to_bytes()
+    at = raw.index(struct.pack("<dd", *fields))
+    bad = raw[:at] + struct.pack("<dd", *narrow) + raw[at + 16 :]
+    with pytest.raises(StorageError, match="bucket width"):
+        loads_any(bad)
+    with pytest.raises(StorageError, match="bucket width"):
+        type(sketch).from_bytes(bad)
 
 
 # -- window == offline §4.9 merge ---------------------------------------------
@@ -218,6 +261,40 @@ def test_decay_generations_fall_off_the_ring():
     dec.extend_at(np.ones(100), T0 + 20.0)
     assert dec.raw_n == 100
     assert float(dec.quantile(0.5)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("engine", MERGEABLE)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decay_quantiles_against_exact_weighted_oracle(engine, seed):
+    """Generation g of G carries weight 2**-((G-1-g)/4) (one generation
+    per quarter half-life).  ``quantile(0)`` is the stream minimum, and
+    every answer's exact weighted rank interval lies within
+    ``error_bound()`` of ``phi * W``."""
+    rng = np.random.default_rng(seed)
+    half_life = 60.0
+    dec = _decay(engine, half_life=half_life)
+    generations = [rng.lognormal(0.0, 1.5, 1500) for _ in range(4)]
+    step = half_life / 4
+    for g, values in enumerate(generations):
+        dec.extend_at(values, T0 + g * step)
+    weights = [2.0 ** (-(len(generations) - 1 - g) / 4) for g in range(4)]
+    sorted_gens = [np.sort(v) for v in generations]
+    total = sum(w * len(v) for w, v in zip(weights, generations))
+    bound = dec.error_bound()
+    assert dec.quantile(0.0) == min(v.min() for v in generations)
+    for phi in [0.0, 0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0]:
+        q = dec.quantile(phi)
+        below = sum(
+            w * np.searchsorted(v, q, side="left")
+            for w, v in zip(weights, sorted_gens)
+        )
+        below_eq = sum(
+            w * np.searchsorted(v, q, side="right")
+            for w, v in zip(weights, sorted_gens)
+        )
+        target = phi * total
+        error = max(0.0, below - target, target - below_eq)
+        assert error <= bound, (phi, q, error, bound)
 
 
 # -- absorb (cluster fan-in path) ---------------------------------------------

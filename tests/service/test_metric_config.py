@@ -12,6 +12,7 @@ configuration, wherever it travels.
 
 from __future__ import annotations
 
+import socket
 import struct
 import tempfile
 import zlib
@@ -95,6 +96,63 @@ class TestValidation:
             MetricConfig(**fields)
 
 
+class TestBucketFloor:
+    """A ring bucket below ``repro.windows.MIN_BUCKET_S`` (the slide, or
+    the window when tumbling, or a quarter of the half-life) is refused
+    by the config itself, so no accepted config fails later at CREATE."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(window_s=1e-300),
+            dict(window_s=1.0, slide_s=0.0005),
+            dict(decay_s=0.002),
+            dict(engine="kll", decay_s=1e-300),
+        ],
+    )
+    def test_rejects(self, fields):
+        with pytest.raises(ConfigurationError, match="bucket width"):
+            MetricConfig(**fields)
+
+    def test_floor_itself_builds(self):
+        registry = SketchRegistry(n_shards=1, clock=lambda: 100.0)
+        for name, config in [
+            ("w", MetricConfig(window_s=0.006, slide_s=0.001)),
+            ("d", MetricConfig(decay_s=0.004)),
+        ]:
+            registry.create(name, config)
+            registry.ingest_at(name, np.arange(10.0), 100.0)
+
+    def test_wire_create_is_refused(self, tmp_path):
+        from repro.service import QuantileClient, ServerThread
+
+        frame = protocol.encode_request(
+            Request(
+                opcode=Opcode.CREATE, name="t/narrow", token=3,
+                config=MetricConfig(window_s=60.0, slide_s=5.0),
+            )
+        )
+        block = struct.pack("<Bdd", protocol.WMODE_WINDOW, 60.0, 5.0)
+        assert frame.endswith(block)
+        narrow = frame[: -len(block)] + struct.pack(
+            "<Bdd", protocol.WMODE_WINDOW, 0.003, 0.0005
+        )
+        with pytest.raises(StorageError, match="bucket width"):
+            protocol.decode_request(narrow)
+        with ServerThread(
+            data_dir=str(tmp_path / "srv"), snapshot_interval_s=None
+        ) as srv, socket.create_connection(
+            ("127.0.0.1", srv.port), timeout=10.0
+        ) as sock:
+            sock.sendall(protocol.frame(narrow))
+            reply = sock.makefile("rb")
+            (length,) = struct.unpack("<I", reply.read(4))
+            with pytest.raises(ConfigurationError, match="bucket width"):
+                protocol.decode_response(Opcode.CREATE, reply.read(length))
+            with QuantileClient("127.0.0.1", srv.port) as client:
+                assert client.list_metrics() == []
+
+
 class TestSlideWithoutWindow:
     """A slide with no window used to be stored on a plain metric, then
     dropped by the journal and the snapshot, so the identical CREATE
@@ -125,6 +183,10 @@ class TestSlideWithoutWindow:
 seconds = st.floats(
     min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False
 )
+#: a decay's ring bucket is a quarter of its half-life, floored at 1 ms
+half_lives = st.floats(
+    min_value=4e-3, max_value=1e9, allow_nan=False, allow_infinity=False
+)
 
 
 @st.composite
@@ -153,7 +215,7 @@ def configs(draw):
         fields["window_s"] = draw(seconds)
         fields["slide_s"] = draw(st.just(0.0) | seconds)
     elif kind == "fixed" and timing == "decay":
-        fields["decay_s"] = draw(seconds)
+        fields["decay_s"] = draw(half_lives)
     return MetricConfig(**fields)
 
 

@@ -276,6 +276,21 @@ class TestServeAndClient:
         assert self._client(server, "query", "nope", "--phi", "0.5") == 1
         assert "unknown metric" in capsys.readouterr().err
 
+    def test_designed_n_without_kind_creates_fixed(self, server, capsys):
+        # --n is "designed N (fixed kind)": like repro.Sketch(n=...) and
+        # `cluster client create`, it picks the fixed kind
+        assert self._client(
+            server, "create", "api/sized", "--n", "1000000"
+        ) == 0
+        assert self._client(server, "create", "api/open") == 0
+        capsys.readouterr()
+        assert self._client(server, "list") == 0
+        kinds = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert kinds == {"api/sized": "fixed", "api/open": "adaptive"}
+
 
 class TestClientEngines:
     """`client create --engine` selects the sketch engine end to end."""

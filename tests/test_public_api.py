@@ -33,14 +33,13 @@ def test_public_all_snapshot():
 def test_sketch_signature():
     params = inspect.signature(repro.Sketch).parameters
     assert list(params) == [
-        "eps", "n", "policy", "kernels", "adaptive", "engine",
+        "eps", "n", "policy", "adaptive", "engine",
         "window", "slide", "decay", "kwargs",
     ]
     assert params["eps"].default == 0.01
     assert params["n"].default is None
     assert params["policy"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["policy"].default == "new"
-    assert params["kernels"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["adaptive"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["engine"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["engine"].default == "paper"
@@ -52,7 +51,7 @@ def test_sketch_signature():
 def test_bank_signature():
     params = inspect.signature(repro.Bank).parameters
     assert list(params) == [
-        "eps", "n", "policy", "kernels", "engine", "kwargs",
+        "eps", "n", "policy", "engine", "kwargs",
     ]
     assert params["engine"].default == "paper"
 
@@ -68,12 +67,11 @@ def test_connect_signature():
 def test_hist_signature():
     params = inspect.signature(repro.hist).parameters
     assert list(params) == [
-        "data", "bins", "eps", "policy", "kernels", "engine",
+        "data", "bins", "eps", "policy", "engine",
         "window", "slide", "decay", "kwargs",
     ]
     assert params["engine"].default == "paper"
     assert params["eps"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert params["kernels"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_time_kwargs_agree_across_surfaces():
