@@ -287,7 +287,7 @@ def bench_columns(
     for n_cols in column_counts:
         matrix = np.random.default_rng(11).normal(size=(n_rows, n_cols))
         names = [f"c{j}" for j in range(n_cols)]
-        # pre-bank consume path: a mapping of contiguous per-column arrays
+        # per-column baseline: a mapping of contiguous per-column arrays
         columns = {
             name: np.ascontiguousarray(matrix[:, j])
             for j, name in enumerate(names)
@@ -302,14 +302,14 @@ def bench_columns(
                     sketches[j].extend(columns[name][s : s + CHUNK])
             return sketches
 
-        def banked():
+        def sketcher():
             mc = MultiColumnSketcher(names, EPSILON, n=n_rows)
             for s in range(0, n_rows, CHUNK):
                 mc.consume(matrix[s : s + CHUNK])
             return mc
 
         base_t, sketches = _time_best(per_column, rounds)
-        bank_t, mc = _time_best(banked, rounds)
+        sketcher_t, mc = _time_best(sketcher, rounds)
         assert mc.all_quantiles([0.5]) == {
             name: [float(sk.query(0.5))]
             for name, sk in zip(names, sketches)
@@ -317,13 +317,13 @@ def bench_columns(
         out[str(n_cols)] = {
             "rows": n_rows,
             "values": n_rows * n_cols,
-            "bank_m_values_per_s": round(
-                n_rows * n_cols / bank_t / 1e6, 2
+            "sketcher_m_values_per_s": round(
+                n_rows * n_cols / sketcher_t / 1e6, 2
             ),
             "baseline_m_values_per_s": round(
                 n_rows * n_cols / base_t / 1e6, 2
             ),
-            "speedup": round(base_t / bank_t, 2),
+            "speedup": round(base_t / sketcher_t, 2),
         }
     return out
 

@@ -3,7 +3,10 @@
 
 Drives the full stack the way an operator would, as real OS processes:
 
-1. start ``repro serve`` as a subprocess with a data directory;
+1. start ``repro serve`` as a subprocess with a data directory, print
+   its spawn-to-listening time and thread count, and fail if it runs
+   more than one thread (nothing in the server calls BLAS, so numpy's
+   OpenBLAS pool defaults to one thread);
 2. batch-ingest from 4 concurrent client threads into one fixed metric
    (plus an adaptive metric from the main thread);
 3. query quantiles and check the certified Lemma 5 bound matches an
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -50,9 +53,17 @@ BATCH = 2_000
 TOTAL = N_CLIENTS * BATCHES_PER_CLIENT * BATCH
 
 
+#: what OpenBLAS reads for its pool size; kept out of the server's
+#: environment so the thread check sees the server's own default
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+)
+
+
 def start_server(port: int, data_dir: str) -> subprocess.Popen:
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    t0 = time.perf_counter()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -65,18 +76,27 @@ def start_server(port: int, data_dir: str) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
     )
-    deadline = time.monotonic() + 15.0
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            out = proc.stdout.read().decode() if proc.stdout else ""
-            raise SystemExit(f"server died on startup:\n{out}")
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            return proc
-        except OSError:
-            time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("server did not start listening within 15s")
+    if not select.select([proc.stdout], [], [], 15.0)[0]:
+        proc.kill()
+        raise SystemExit("server did not start listening within 15s")
+    line = proc.stdout.readline().decode()
+    if "listening on" not in line:
+        proc.kill()
+        out = line + proc.stdout.read().decode()
+        raise SystemExit(f"server died on startup:\n{out}")
+    spawn_s = time.perf_counter() - t0
+    try:
+        threads = len(os.listdir(f"/proc/{proc.pid}/task"))
+    except FileNotFoundError:  # no procfs: nothing to count
+        threads = None
+    print(f"      server pid {proc.pid}: listening {spawn_s:.3f} s after "
+          f"spawn, {threads if threads is not None else '?'} thread(s)")
+    if threads is not None and threads > 1:
+        proc.kill()
+        raise SystemExit(
+            f"a freshly started server runs {threads} threads, not 1"
+        )
+    return proc
 
 
 def concurrent_ingest(port: int, parts: list) -> None:

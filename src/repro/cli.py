@@ -68,6 +68,7 @@ pipelines.  The offline commands are pure and deterministic given
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -274,6 +275,10 @@ def _file_clock(path: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # nothing in the server calls BLAS: without this, numpy's OpenBLAS
+    # starts a worker thread per core that spins on start-up.  Set before
+    # numpy's first import; an operator's own setting wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .service import QuantileService
 
     watch_interval_s = (
@@ -691,8 +696,6 @@ def _cmd_cluster_client(args: argparse.Namespace) -> int:
 def _manifest_file(path: str) -> str:
     """Resolve a manifest argument (file or data dir) to the file path,
     so the membership verbs can save their edits back."""
-    import os
-
     from .cluster.manifest import MANIFEST_FILE
 
     return os.path.join(path, MANIFEST_FILE) if os.path.isdir(path) else path

@@ -2,13 +2,13 @@
 
 Each node is a **complete** :class:`~repro.service.server.QuantileService`
 process -- own reactor, own shards, own journal + snapshot pair under
-``data_dir/node-<i>`` -- spawned through the module-level entry point
-``_worker_main`` (spawn context, pipe handshake, SIGTERM = graceful
-drain).  Every node knows its ``node_id`` and the manifest ``epoch`` it
-was launched under (reported via the ``PING`` opcode), placement is a
-consistent-hash ring, and liveness is tracked.  ``repro serve --workers
-N`` is this class with ``replication=1``: N processes on one host, each
-metric on exactly one of them.
+``data_dir/node-<i>`` -- spawned through
+:func:`~repro.cluster.node.node_main` (spawn context, pipe handshake,
+SIGTERM = graceful drain).  Every node knows its ``node_id`` and the
+manifest ``epoch`` it was launched under (reported via the ``PING``
+opcode), placement is a consistent-hash ring, and liveness is tracked.
+``repro serve --workers N`` is this class with ``replication=1``: N
+processes on one host, each metric on exactly one of them.
 
 Supervision model -- *mark down, re-sync before rejoining*: a node that
 dies is marked ``down`` (manifest status, ``epoch`` bump, Prometheus
@@ -59,42 +59,11 @@ from .manifest import (
     make_node_id,
     node_index,
 )
+from .node import node_main
 from .ring import DEFAULT_VNODES
 from .sync import Edit, NodeSyncReport, SyncDriver
 
 __all__ = ["ClusterCoordinator", "publish_ring_gauges"]
-
-
-def _worker_main(
-    worker_id: int,
-    host: str,
-    port: int,
-    data_dir: Optional[str],
-    conn: "multiprocessing.connection.Connection",
-    service_kwargs: Dict[str, Any],
-) -> None:
-    """Entry point of one worker process (spawn-safe, module level).
-
-    Runs a complete :class:`QuantileService` -- own reactor, own shards,
-    own journal -- reports the bound port (ephemeral when the cluster
-    asked for port 0) back over *conn*, then serves until SIGTERM/SIGINT,
-    which triggers the same graceful drain a single-process server
-    performs: apply queued batches, final snapshot, close the journal.
-    """
-    from ..service.server import QuantileService
-
-    service = QuantileService(
-        host=host, port=port, data_dir=data_dir, **service_kwargs
-    )
-    try:
-        service.start()
-    except BaseException as exc:  # noqa: BLE001 - shipped to parent
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        raise
-    conn.send(("ready", service.port))
-    conn.close()
-    service.serve()
 
 
 def publish_ring_gauges(
@@ -258,10 +227,9 @@ class ClusterCoordinator:
             )
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_worker_main,
+            target=node_main,
             name=f"repro-{nid}",
             args=(
-                index,
                 self.host,
                 0 if self.base_port == 0 else self.base_port + index,
                 (

@@ -22,7 +22,10 @@ the magic table knows the adaptive one.  ``windowed`` and
 ``expdecay`` (:mod:`repro.windows`) are *composite* engines: a ring of
 buckets, each itself a paper/kll/frugal sketch.  They carry their
 inner engine in their own wire format, so the usual magic dispatch and
-same-engine merge rules apply to them unchanged.
+same-engine merge rules apply to them unchanged.  The table names each
+engine's decoder without importing it: an engine's module loads with
+the first of its sketches a process decodes or builds, so a server
+holding only fixed-N paper metrics never loads KLL or Frugal.
 
 Every engine's serialised form starts with its 8-byte magic, so a
 payload is self-describing: :func:`engine_of` reads the tag,
@@ -39,14 +42,13 @@ See docs/api.md for the engine-selection table with measured numbers
 
 from __future__ import annotations
 
+import importlib
+import sys
 from typing import Any, BinaryIO, Callable, Dict, NamedTuple, Sequence, Tuple
 
 from . import serialize
-from .adaptive import ADAPTIVE_MAGIC, AdaptiveQuantileSketch
 from .errors import ConfigurationError, StorageError
 from .framework import QuantileFramework
-from .frugal import FRUGAL_MAGIC, FrugalBank, FrugalSketch
-from .kll import KLL_MAGIC, KLLSketch
 from .serialize import _Reader, _StreamReader
 
 __all__ = [
@@ -91,55 +93,40 @@ def _paper_spec() -> EngineSpec:
     )
 
 
-def _kll_spec() -> EngineSpec:
-    return EngineSpec(
-        name="kll",
-        magic=KLL_MAGIC,
-        mergeable=True,
-        certified=True,
-        read=KLLSketch.read,
-        dumps=lambda sk: sk.to_bytes(),
-    )
+def _read_with(module: str, cls_name: str) -> Callable[[_Reader], Any]:
+    """The decoder ``cls_name.read`` of *module* (relative to this
+    package), imported at its first call: a process that never decodes
+    or builds such a sketch never loads the engine, and
+    :mod:`repro.windows` (which imports core) can be resolved while core
+    is still importing."""
 
-
-def _frugal_spec() -> EngineSpec:
-    return EngineSpec(
-        name="frugal",
-        magic=FRUGAL_MAGIC,
-        mergeable=False,
-        certified=False,
-        read=FrugalSketch.read,
-        dumps=lambda sk: sk.to_bytes(),
-    )
-
-
-def _adaptive_spec() -> EngineSpec:
-    return EngineSpec(
-        name="paper",
-        magic=ADAPTIVE_MAGIC,
-        mergeable=False,
-        certified=True,
-        # the body is the epsilon, then the stage container
-        read=lambda r: AdaptiveQuantileSketch.read_stages(
-            r, r.f64("epsilon")
-        ),
-        dumps=lambda sk: sk.to_bytes(),
-    )
-
-
-def _ring_spec(name: str, magic: bytes, cls_name: str) -> EngineSpec:
-    # repro.windows imports core; resolve the ring class lazily at call
-    # time so the registry can be built while core is still importing
     def read(r: _Reader) -> Any:
-        from .. import windows
+        module_obj = importlib.import_module(module, __package__)
+        return getattr(module_obj, cls_name).read(r)
 
-        return getattr(windows, cls_name).read(r)
+    return read
 
+
+def _read_adaptive(r: _Reader) -> Any:
+    from .adaptive import AdaptiveQuantileSketch
+
+    # the body is the epsilon, then the stage container
+    return AdaptiveQuantileSketch.read_stages(r, r.f64("epsilon"))
+
+
+def _spec(
+    name: str,
+    magic: bytes,
+    read: Callable[[_Reader], Any],
+    *,
+    mergeable: bool = True,
+    certified: bool = True,
+) -> EngineSpec:
     return EngineSpec(
         name=name,
         magic=magic,
-        mergeable=True,
-        certified=True,
+        mergeable=mergeable,
+        certified=certified,
         read=read,
         dumps=lambda sk: sk.to_bytes(),
     )
@@ -150,16 +137,26 @@ ENGINES: Dict[str, EngineSpec] = {
     spec.name: spec
     for spec in (
         _paper_spec(),
-        _kll_spec(),
-        _frugal_spec(),
-        _ring_spec("windowed", b"WINSKT01", "WindowedSketch"),
-        _ring_spec("expdecay", b"EXDSKT01", "ExpDecaySketch"),
+        _spec("kll", b"KLLSKT01", _read_with(".kll", "KLLSketch")),
+        _spec(
+            "frugal",
+            b"FRGSKT01",
+            _read_with(".frugal", "FrugalSketch"),
+            mergeable=False,
+            certified=False,
+        ),
+        _spec(
+            "windowed", b"WINSKT01", _read_with("..windows", "WindowedSketch")
+        ),
+        _spec(
+            "expdecay", b"EXDSKT01", _read_with("..windows", "ExpDecaySketch")
+        ),
     )
 }
 
 ENGINE_NAMES: Tuple[str, ...] = tuple(ENGINES)
 
-_ADAPTIVE = _adaptive_spec()
+_ADAPTIVE = _spec("paper", b"ADPSKT01", _read_adaptive, mergeable=False)
 
 _BY_MAGIC: Dict[bytes, EngineSpec] = {
     spec.magic: spec for spec in (*ENGINES.values(), _ADAPTIVE)
@@ -192,23 +189,50 @@ def engine_of(payload: "bytes | bytearray | memoryview") -> str:
     return spec_of(payload).name
 
 
-def engine_of_sketch(sketch: Any) -> str:
-    """Engine name of a live sketch object."""
-    if isinstance(sketch, (FrugalSketch, FrugalBank)):
-        return "frugal"
-    if isinstance(sketch, KLLSketch):
-        return "kll"
+def _loaded(module: str, *names: str) -> Tuple[type, ...]:
+    """The classes *names* of engine module *module* if it is loaded,
+    else ``()``: no sketch of an engine exists before its module does."""
+    module_obj = sys.modules.get(f"{__package__}.{module}")
+    if module_obj is None:
+        return ()
+    return tuple(getattr(module_obj, name) for name in names)
+
+
+def _classify(sketch: Any) -> EngineSpec:
     if isinstance(sketch, QuantileFramework):
-        return "paper"
+        return ENGINES["paper"]
+    if isinstance(sketch, _loaded("adaptive", "AdaptiveQuantileSketch")):
+        return _ADAPTIVE
+    if isinstance(sketch, _loaded("frugal", "FrugalSketch", "FrugalBank")):
+        return ENGINES["frugal"]
+    if isinstance(sketch, _loaded("kll", "KLLSketch")):
+        return ENGINES["kll"]
     # imported last: a process that holds no ring never loads it
     from ..windows import ExpDecaySketch, WindowedSketch
 
     if isinstance(sketch, WindowedSketch):
-        return "windowed"
+        return ENGINES["windowed"]
     if isinstance(sketch, ExpDecaySketch):
-        return "expdecay"
-    # sketch/adaptive wrappers around the paper framework
-    return "paper"
+        return ENGINES["expdecay"]
+    # sketch wrappers around the paper framework
+    return ENGINES["paper"]
+
+
+#: sketch class -> the spec of its format, filled as classes are first
+#: seen (the class decides the answer, so it is found once per class)
+_SPEC_OF_CLASS: Dict[type, EngineSpec] = {}
+
+
+def _spec_of_sketch(sketch: Any) -> EngineSpec:
+    spec = _SPEC_OF_CLASS.get(type(sketch))
+    if spec is None:
+        spec = _SPEC_OF_CLASS[type(sketch)] = _classify(sketch)
+    return spec
+
+
+def engine_of_sketch(sketch: Any) -> str:
+    """Engine name of a live sketch object."""
+    return _spec_of_sketch(sketch).name
 
 
 def read_sketch(r: _Reader, magic: "bytes | None" = None) -> Any:
@@ -258,16 +282,12 @@ def dumps_any(sketch: Any) -> bytes:
     as :func:`repro.core.serialize.dumps`.  An adaptive sketch
     serialises to ``ADPSKT01``.
     """
-    if isinstance(sketch, AdaptiveQuantileSketch):
-        return _ADAPTIVE.dumps(sketch)
-    name = engine_of_sketch(sketch)
-    if name == "paper":
+    spec = _spec_of_sketch(sketch)
+    if spec is ENGINES["paper"] and not isinstance(sketch, QuantileFramework):
         inner = getattr(sketch, "_impl", None)
-        if not isinstance(sketch, QuantileFramework) and isinstance(
-            inner, QuantileFramework
-        ):
+        if isinstance(inner, QuantileFramework):
             sketch = inner
-    return ENGINES[name].dumps(sketch)
+    return spec.dumps(sketch)
 
 
 def merge_summaries(summaries: Sequence[Any]) -> Any:
@@ -284,7 +304,9 @@ def merge_summaries(summaries: Sequence[Any]) -> Any:
         from .parallel import recombine
 
         return recombine(summaries)
-    if isinstance(first, KLLSketch):
+    if isinstance(first, _loaded("kll", "KLLSketch")):
+        from .kll import KLLSketch
+
         merged = KLLSketch(
             first.eps, k=first.k, delta=first.delta, seed=first.seed
         )

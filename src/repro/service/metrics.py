@@ -26,7 +26,6 @@ import time
 from array import array
 from typing import Any, Dict, Optional
 
-from ..analysis.memory import report_memory
 from ..obs import hooks as obs_hooks
 from ..obs.metrics import MetricsRegistry
 from .registry import SketchRegistry
@@ -177,6 +176,8 @@ def stats_view(
         stats["ingest_batches"] = value("service.ingest.batches", shard=shard)
         stats["ingest_elements"] = elements
         stats["ingest_rate_per_s"] = lifetime_rate(elements)
+    from ..analysis.memory import report_memory
+
     memory_reports = [
         report_memory(entry.sketch) for entry in registry.entries()
     ]

@@ -31,19 +31,27 @@ import time
 import zlib
 from array import array
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveQuantileSketch
 from ..core.bank import SketchBank
 from ..core.errors import ConfigurationError, EmptySummaryError
 from ..core.framework import QuantileFramework
-from ..core.frugal import DEFAULT_BANK_PHIS, FrugalBank, FrugalSketch
-from ..core.kll import KLLSketch
 from ..core.parameters import optimal_parameters
 from ..core.policies import make_policy
 from .protocol import MetricConfig
+
+if TYPE_CHECKING:
+    # the other engines load with their first metric, so a server that
+    # hosts only paper metrics never imports them
+    from ..core.adaptive import AdaptiveQuantileSketch
+    from ..core.frugal import FrugalBank, FrugalSketch
+    from ..core.kll import KLLSketch
+
+    Sketch = Union[
+        QuantileFramework, AdaptiveQuantileSketch, KLLSketch, FrugalSketch
+    ]
 
 __all__ = [
     "MetricEntry",
@@ -92,10 +100,6 @@ DEFAULT_DESIGN_N = 2**30
 #: initial stage capacity for adaptive metrics created without ``n``
 _DEFAULT_ADAPTIVE_CAPACITY = 4096
 
-Sketch = Union[
-    QuantileFramework, AdaptiveQuantileSketch, KLLSketch, FrugalSketch
-]
-
 _FINITE_MSG = (
     "numeric streams must be finite: the framework reserves "
     "+/-inf as padding sentinels and NaN has no rank"
@@ -141,11 +145,10 @@ class MetricEntry:
             return 0
         engine = self.config.engine
         if engine == "kll":
-            assert isinstance(self.sketch, KLLSketch)
             return self.sketch._n_compactions
         if engine != "paper":
             return 0
-        if isinstance(self.sketch, QuantileFramework):
+        if self.config.kind == "fixed":
             return self.sketch.n_collapses
         return sum(s.n_collapses for s in self.sketch._closed) + (
             self.sketch._active.n_collapses
@@ -162,16 +165,17 @@ class _Shard:
     metric, one vectorised kernel pass per drain): CREATE takes
     a fresh row, restores adopt their rebuilt sketch into one.  Both
     banks are bit-identical to per-sketch feeding, which is what keeps
-    journal replay exact.
+    journal replay exact.  ``fbank`` is made with the shard's first
+    frugal metric.
     """
 
-    __slots__ = ("bank", "fbank", "pending", "n_applied", "n_batches_applied")
+    __slots__ = ("bank", "_fbank", "pending", "n_applied", "n_batches_applied")
 
     def __init__(self) -> None:
         # the shared-config plan is never used (every sketch is adopted),
         # so the bank's own epsilon/n are placeholders
         self.bank = SketchBank(0.01)
-        self.fbank = FrugalBank(DEFAULT_BANK_PHIS, seed=0)
+        self._fbank: Optional[FrugalBank] = None
         # (entry, values, event_time); event_time is None for the
         # all-time metrics, a float for windowed/decayed ones
         self.pending: List[
@@ -179,6 +183,14 @@ class _Shard:
         ] = []
         self.n_applied = 0
         self.n_batches_applied = 0
+
+    @property
+    def fbank(self) -> "FrugalBank":
+        if self._fbank is None:
+            from ..core.frugal import DEFAULT_BANK_PHIS, FrugalBank
+
+            self._fbank = FrugalBank(DEFAULT_BANK_PHIS, seed=0)
+        return self._fbank
 
 
 class DedupWindow:
@@ -549,6 +561,8 @@ class SketchRegistry:
                 clock=self.clock,
             )
         if config.engine == "kll":
+            from ..core.kll import KLLSketch
+
             return KLLSketch(eps=epsilon, seed=0)
         if config.engine == "frugal":
             # born on a row of its shard's bank: nothing to copy in later
@@ -561,6 +575,8 @@ class SketchRegistry:
             )
             fw._mode = "numeric"  # the service is numeric-only
             return fw
+        from ..core.adaptive import AdaptiveQuantileSketch
+
         return AdaptiveQuantileSketch(
             epsilon,
             initial_capacity=_DEFAULT_ADAPTIVE_CAPACITY if n is None else n,
@@ -619,6 +635,7 @@ class SketchRegistry:
         The window or decay comes from the payload, which is
         self-describing.
         """
+        from ..core.adaptive import AdaptiveQuantileSketch
         from ..core.engines import engine_of_sketch, loads_any
 
         if not name or "\n" in name:
@@ -678,7 +695,6 @@ class SketchRegistry:
             # windowed rings manage their own buckets; no bank adoption
             pass
         elif config.engine == "frugal":
-            assert isinstance(sketch, FrugalSketch)
             bank_id = self._shards[shard_idx].fbank.adopt(sketch)
         elif config.engine == "paper" and config.kind == "fixed":
             assert isinstance(sketch, QuantileFramework)

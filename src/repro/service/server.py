@@ -89,7 +89,6 @@ from typing import Any, Dict, List, Optional
 
 from ..core.errors import ReproError, StorageError
 from ..obs import hooks as obs_hooks
-from ..obs.exposition import render_prometheus
 from ..obs.metrics import MetricsRegistry
 from . import protocol
 from .journal import (
@@ -905,6 +904,8 @@ class QuantileService:
                 stats["node_id"] = self.node_id
                 stats["cluster_epoch"] = self.cluster_epoch
             if req.detail:
+                from ..obs.exposition import render_prometheus
+
                 stats["prometheus"] = render_prometheus(self.metrics)
             return {"stats": stats}
         if op == protocol.Opcode.PING:

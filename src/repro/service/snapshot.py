@@ -48,7 +48,6 @@ import struct
 import zlib
 from typing import BinaryIO, Optional
 
-from ..core.adaptive import AdaptiveQuantileSketch
 from ..core.errors import StorageError
 from .protocol import (
     CONFIG_FULL,
@@ -129,7 +128,7 @@ def _write_image(
     for entry in entries:
         body.write(_pack_str(entry.name))
         body.write(pack_config(entry.config, CONFIG_FULL))
-        if isinstance(entry.sketch, AdaptiveQuantileSketch):
+        if entry.config.kind == "adaptive":
             entry.sketch.write_stages(body)
         else:
             payload = dumps_any(entry.sketch)
@@ -229,6 +228,7 @@ def read_snapshot(
             f"reads version {SNAPSHOT_VERSION} only)"
         )
     if n_metrics:
+        from ..core.adaptive import AdaptiveQuantileSketch
         from ..core.engines import loads_any
         from ..core.serialize import decode
     for _ in range(n_metrics):

@@ -788,6 +788,11 @@ class ExpDecaySketch(_TimeBucketedSketch):
             raise ConfigurationError(f"phi must be in [0, 1], got {phi}")
         lo = min(float(sk.quantile(0.0)) for _, sk in pairs)
         hi = max(float(sk.quantile(1.0)) for _, sk in pairs)
+        if phi == 1.0:
+            # the exact maximum, as phi 0 gives the exact minimum: the
+            # weighted rank already reaches W at the largest *stored*
+            # value, so bisection would stop below the stream's maximum
+            return hi
         target = phi * self._weighted_total()
         if lo == hi or self._weighted_rank(lo) >= target:
             return lo

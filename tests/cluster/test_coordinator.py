@@ -22,6 +22,11 @@ from repro.service import QuantileClient
 
 SERVICE_KW = dict(n_shards=1, snapshot_interval_s=None)
 
+#: what OpenBLAS reads for its pool size, in order of precedence
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+)
+
 
 class TestValidation:
     def test_bad_topology_rejected_before_spawn(self):
@@ -67,6 +72,20 @@ class TestLifecycle:
             assert coord.manifest_path is None
             assert coord.manifest is not None
             assert len(coord.ports) == 1
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+    )
+    def test_node_process_runs_one_thread(self, monkeypatch):
+        """A node defaults numpy's OpenBLAS pool to one thread before
+        its first numpy import, as ``repro serve`` does."""
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with ClusterCoordinator(
+            nodes=1, replication=1, **SERVICE_KW
+        ) as coord:
+            pid = coord._procs["node-0"].pid
+            assert os.listdir(f"/proc/{pid}/task") == [str(pid)]
 
     def test_restart_bumps_epoch_and_pins_topology(self, tmp_path):
         data_dir = str(tmp_path / "cluster")

@@ -297,6 +297,22 @@ def test_decay_quantiles_against_exact_weighted_oracle(engine, seed):
         assert error <= bound, (phi, q, error, bound)
 
 
+@pytest.mark.parametrize("engine", MERGEABLE)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decay_extremes_are_the_stream_extremes(engine, seed):
+    """``quantile(1)`` is the stream maximum, not the largest value a
+    generation still stores, just as ``quantile(0)`` is the minimum."""
+    rng = np.random.default_rng(seed)
+    dec = _decay(engine)
+    # enough values that neither engine still stores every maximum
+    generations = [rng.lognormal(0.0, 1.5, 5000) for _ in range(4)]
+    for g, values in enumerate(generations):
+        dec.extend_at(values, T0 + g * 15.0)
+    assert dec.quantile(1.0) == max(v.max() for v in generations)
+    assert dec.quantile(0.0) == min(v.min() for v in generations)
+    assert dec.quantiles([0.0, 1.0]) == [dec.quantile(0.0), dec.quantile(1.0)]
+
+
 # -- absorb (cluster fan-in path) ---------------------------------------------
 
 

@@ -6,7 +6,13 @@ idle ``repro serve`` loads the serving modules only -- not the client,
 the fault proxy, the cluster coordinator, the offline front-ends,
 ``multiprocessing``, or ``asyncio`` with the ``ssl`` and
 ``concurrent.futures`` it pulls in (the server is a ``selectors``
-reactor).
+reactor).  The KLL, Frugal and adaptive engines load with their first
+metric, and the Prometheus and memory reports with the first ``STATS``
+that asks for them.
+
+It also runs one thread: ``repro serve`` defaults numpy's OpenBLAS pool
+to one thread (nothing in the server calls BLAS) unless the operator
+set its size.
 """
 
 from __future__ import annotations
@@ -39,10 +45,24 @@ NOT_SERVED = [
     "repro.cluster.coordinator",
     "repro.streams",
     "repro.analysis.describe",
+    "repro.core.kll",
+    "repro.core.frugal",
+    "repro.core.adaptive",
+    "repro.obs.exposition",
+    "repro.analysis.memory",
 ]
 
 #: ceiling on ``repro.*`` modules an idle ``repro serve`` holds
-MAX_SERVE_MODULES = 36
+MAX_SERVE_MODULES = 30
+
+#: what OpenBLAS reads for its pool size, in order of precedence
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+)
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+)
 
 PACKAGES = [
     "repro",
@@ -61,8 +81,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _python(code: str, *args: str) -> "subprocess.Popen[str]":
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _python(
+    code: str, *args: str, blas_threads: "str | None" = None
+) -> "subprocess.Popen[str]":
+    """A child running *code*; none of :data:`BLAS_THREAD_VARS` reaches
+    it except ``OPENBLAS_NUM_THREADS=blas_threads`` when given, so the
+    environment the tests run in cannot decide the pool size."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.Popen(
         [sys.executable, "-c", code, *args],
         env=env,
@@ -72,21 +100,84 @@ def _python(code: str, *args: str) -> "subprocess.Popen[str]":
     )
 
 
-def test_idle_serve_loads_only_serving_modules(tmp_path):
+def _serve(tmp_path, blas_threads: "str | None" = None, work=None):
+    """``(modules, threads)`` of a ``repro serve``: every module it
+    imported by its exit, and its thread count at the listening line.
+    ``work(port)``, when given, drives the server before it stops."""
     proc = _python(
-        _SERVE, "serve", "--port", "0", "--data-dir", str(tmp_path / "d")
+        _SERVE, "serve", "--port", "0", "--data-dir", str(tmp_path / "d"),
+        blas_threads=blas_threads,
     )
     try:
-        assert "listening on" in proc.stdout.readline()
+        line = proc.stdout.readline()
+        assert "listening on" in line
+        threads = _thread_count(proc.pid)
+        if work is not None:
+            work(int(line.split(":")[1].split()[0]))
     finally:
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
-    modules = json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1]), threads
+
+
+def _thread_count(pid: int) -> "int | None":
+    try:
+        return len(os.listdir(f"/proc/{pid}/task"))
+    except FileNotFoundError:  # no procfs
+        return None
+
+
+def test_idle_serve_loads_only_serving_modules(tmp_path):
+    modules, _ = _serve(tmp_path)
     loaded = [name for name in NOT_SERVED if name in modules]
     assert loaded == []
     served = [name for name in modules if name.split(".")[0] == "repro"]
     assert len(served) <= MAX_SERVE_MODULES, served
+
+
+def test_paper_only_server_never_loads_other_engines(tmp_path):
+    """CREATE, INGEST, QUERY and SNAPSHOT of a paper metric load no
+    other engine, not even through the snapshot codec."""
+    from repro.service import QuantileClient
+
+    def work(port):
+        with QuantileClient("127.0.0.1", port) as client:
+            client.create("p/fixed", kind="fixed", eps=0.01, n=100_000)
+            client.ingest("p/fixed", [float(i) for i in range(5_000)])
+            client.query("p/fixed", [0.5])
+            client.snapshot()
+
+    modules, _ = _serve(tmp_path, work=work)
+    assert "repro.core.engines" in modules  # the snapshot ran
+    loaded = [
+        name for name in ("repro.core.kll", "repro.core.frugal")
+        if name in modules
+    ]
+    assert loaded == []
+
+
+@needs_proc
+def test_idle_serve_runs_one_thread(tmp_path):
+    _, threads = _serve(tmp_path)
+    assert threads == 1
+
+
+@needs_proc
+def test_explicit_blas_threads_are_honoured(tmp_path):
+    """An operator's ``OPENBLAS_NUM_THREADS`` wins over the default: the
+    server runs as many threads as a bare ``import numpy`` does."""
+    probe = _python(
+        "import os, numpy; print(len(os.listdir('/proc/self/task')))",
+        blas_threads="2",
+    )
+    out, err = probe.communicate(timeout=60)
+    assert probe.returncode == 0, err
+    expected = int(out)
+    if expected == 1:
+        pytest.skip("numpy starts no BLAS worker (one CPU or no OpenBLAS)")
+    _, threads = _serve(tmp_path, blas_threads="2")
+    assert threads == expected
 
 
 def test_import_repro_loads_no_submodule():
