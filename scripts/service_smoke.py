@@ -4,9 +4,10 @@
 Drives the full stack the way an operator would, as real OS processes:
 
 1. start ``repro serve`` as a subprocess with a data directory, print
-   its spawn-to-listening time and thread count, and fail if it runs
-   more than one thread (nothing in the server calls BLAS, so numpy's
-   OpenBLAS pool defaults to one thread);
+   its spawn-to-listening time, thread count and idle peak resident
+   set (``VmHWM``), and fail if it runs more than one thread (nothing
+   in the server calls BLAS, so numpy's OpenBLAS pool defaults to one
+   thread);
 2. batch-ingest from 4 concurrent client threads into one fixed metric
    (plus an adaptive metric from the main thread);
 3. query quantiles and check the certified Lemma 5 bound matches an
@@ -60,6 +61,19 @@ BLAS_THREAD_VARS = (
 )
 
 
+def peak_rss_mib(pid: int) -> "float | None":
+    """The process's peak resident set (``VmHWM``) in MiB; None without
+    procfs."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except FileNotFoundError:
+        pass
+    return None
+
+
 def start_server(port: int, data_dir: str) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -89,8 +103,10 @@ def start_server(port: int, data_dir: str) -> subprocess.Popen:
         threads = len(os.listdir(f"/proc/{proc.pid}/task"))
     except FileNotFoundError:  # no procfs: nothing to count
         threads = None
+    hwm = peak_rss_mib(proc.pid)
     print(f"      server pid {proc.pid}: listening {spawn_s:.3f} s after "
-          f"spawn, {threads if threads is not None else '?'} thread(s)")
+          f"spawn, {threads if threads is not None else '?'} thread(s), "
+          f"VmHWM {f'{hwm:.2f}' if hwm is not None else '?'} MiB")
     if threads is not None and threads > 1:
         proc.kill()
         raise SystemExit(

@@ -139,6 +139,12 @@ class ClusterCoordinator:
             raise ClusterConfigError(
                 f"replication must be in [1, {nodes}], got {replication}"
             )
+        if base_port and not 0 < base_port <= 65536 - nodes:
+            raise ClusterConfigError(
+                f"{nodes} nodes from base port {base_port} would listen on "
+                f"ports {base_port}-{base_port + nodes - 1}; ports run "
+                f"0-65535"
+            )
         self.n_nodes = nodes
         self.replication = replication
         self.host = host

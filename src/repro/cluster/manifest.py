@@ -68,6 +68,13 @@ def node_index(nid: str) -> Optional[int]:
     return int(tail) if tail.isdecimal() else None
 
 
+def _check_port(spec: "NodeSpec") -> None:
+    if not 0 <= spec.port <= 65535:
+        raise ClusterConfigError(
+            f"node {spec.id!r} has port {spec.port}, outside 0-65535"
+        )
+
+
 @dataclass
 class NodeSpec:
     """One node's identity and endpoint."""
@@ -98,6 +105,7 @@ class NodeSpec:
             raise ClusterConfigError(f"malformed node entry {raw!r}") from exc
         if not spec.id:
             raise ClusterConfigError("node id must be non-empty")
+        _check_port(spec)
         if spec.status not in _STATUSES:
             raise ClusterConfigError(
                 f"node {spec.id!r} has unknown status {spec.status!r} "
@@ -142,6 +150,8 @@ class ClusterManifest:
             )
         if self.epoch < 0:
             raise ClusterConfigError(f"epoch must be >= 0, got {self.epoch}")
+        for spec in self.nodes:
+            _check_port(spec)
 
     # -- accessors ---------------------------------------------------------
 

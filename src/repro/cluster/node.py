@@ -39,10 +39,10 @@ def node_main(
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from ..service.server import QuantileService
 
-    service = QuantileService(
-        host=host, port=port, data_dir=data_dir, **service_kwargs
-    )
     try:
+        service = QuantileService(
+            host=host, port=port, data_dir=data_dir, **service_kwargs
+        )
         service.start()
     except BaseException as exc:  # noqa: BLE001 - shipped to parent
         conn.send(("error", f"{type(exc).__name__}: {exc}"))

@@ -29,7 +29,7 @@ pad bookkeeping keeps all rank arithmetic exact either way).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +43,10 @@ from .errors import (
 )
 from .operations import OffsetSelector, collapse, output, weighted_rank
 from .policies import CollapsePolicy, make_policy
-from .tree import TreeRecorder, TreeStats
 from ..obs import hooks as _obs
+
+if TYPE_CHECKING:
+    from .tree import TreeRecorder, TreeStats
 
 __all__ = ["QuantileFramework"]
 
@@ -124,9 +126,12 @@ class QuantileFramework:
         self.designed_n = designed_n
         self.strict_capacity = strict_capacity
         self._offsets = OffsetSelector(offset_mode)
-        self.recorder: Optional[TreeRecorder] = (
-            TreeRecorder() if record_tree else None
-        )
+        self.recorder: Optional[TreeRecorder] = None
+        if record_tree:
+            # analysis only: a serving process never records the tree
+            from .tree import TreeRecorder
+
+            self.recorder = TreeRecorder()
         self._full: List[Buffer] = []
         self._n = 0  # genuine elements ingested
         self._n_collapses = 0

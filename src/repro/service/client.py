@@ -137,6 +137,8 @@ class QuantileClient:
         max_outstanding: int = 4096,
         send_coalesce_bytes: int = 0,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(f"port must be in 0-65535, got {port}")
         self.host = host
         self.port = port
         self.path = path
@@ -325,8 +327,9 @@ class QuantileClient:
                 "request deadline expired waiting for the response"
             ) from exc
         except StorageError as exc:
-            # recv_frame raises StorageError only for a connection that
-            # closed mid-frame: a transport failure, not a codec one
+            # the frame reader raises StorageError only for a connection
+            # that closed mid-frame or sent an impossible length: a
+            # transport failure, not a codec one
             self._teardown()
             raise ServiceConnectionError(str(exc)) from exc
         except OSError as exc:
@@ -343,10 +346,11 @@ class QuantileClient:
 
         The server coalesces pipelined acks into large writes; reading
         64 KiB at a time lets a single ``recv`` syscall deliver dozens
-        of them, instead of two syscalls per frame.  Raises the same
-        exceptions as :func:`protocol.recv_frame` (``TimeoutError``,
-        ``OSError``, :class:`~repro.core.errors.StorageError` on a
-        connection closed mid-frame).
+        of them, instead of two syscalls per frame.  Raises
+        ``TimeoutError`` or ``OSError`` from the socket, and
+        :class:`~repro.core.errors.StorageError` on a connection closed
+        mid-frame or a length prefix above
+        :data:`~repro.service.protocol.MAX_FRAME_BYTES`.
         """
         assert self._sock is not None
         buf = self._rbuf

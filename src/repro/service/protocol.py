@@ -13,12 +13,14 @@ validate opcode, lengths and value finiteness and fail with
 :class:`~repro.core.errors.ConfigurationError` on malformed input.
 
 The codec here is transport-agnostic and synchronous -- pure
-``bytes -> message`` functions plus blocking-socket frame helpers -- so
-the server, the blocking client, tests and shell tools all share
-one implementation.  Sketch payloads (the ``FETCH`` response) are the
-engine wire formats of :mod:`repro.core.engines` verbatim, which is
-what makes shard fan-in (:func:`repro.core.serialize.merge_serialized`)
-work across processes.  Every decoder reads through the bounds-checked
+``bytes -> message`` functions plus :func:`frame` -- so the server, the
+blocking client, tests and shell tools all share one implementation.
+Each end reads frames off its own socket: the server's reactor, and
+the client's buffered reader.  Sketch payloads (the ``FETCH`` response)
+are the engine wire formats of :mod:`repro.core.engines` verbatim,
+which is what makes shard fan-in
+(:func:`repro.core.serialize.merge_serialized`) work across processes.
+Every decoder reads through the bounds-checked
 :class:`repro.core.serialize._Reader`.
 
 Zero-copy fast path: :func:`decode_request` accepts any buffer
@@ -39,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import socket
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -64,8 +65,6 @@ __all__ = [
     "encode_ok",
     "encode_error",
     "decode_response",
-    "recv_frame",
-    "send_frame",
 ]
 
 #: version 2 added the u64 idempotency token to CREATE/INGEST/SNAPSHOT
@@ -771,7 +770,7 @@ def decode_response(opcode: int, payload: bytes) -> Dict[str, Any]:
     return body
 
 
-# -- blocking-socket framing (client side, tests, shell tools) ----------------
+# -- framing ------------------------------------------------------------------
 
 
 def frame(payload: bytes) -> bytes:
@@ -782,32 +781,3 @@ def frame(payload: bytes) -> bytes:
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _U32.pack(len(payload)) + payload
-
-
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(frame(payload))
-
-
-def _recv_exact(sock: socket.socket, size: int, what: str) -> bytes:
-    chunks = []
-    remaining = size
-    while remaining:
-        piece = sock.recv(remaining)
-        if not piece:
-            raise StorageError(
-                f"connection closed mid-frame ({remaining} bytes of "
-                f"{what} missing)"
-            )
-        chunks.append(piece)
-        remaining -= len(piece)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame from a blocking socket."""
-    (length,) = _U32.unpack(_recv_exact(sock, 4, "frame length"))
-    if length > MAX_FRAME_BYTES:
-        raise StorageError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    return _recv_exact(sock, length, "frame payload")

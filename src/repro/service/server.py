@@ -87,7 +87,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..core.errors import ReproError, StorageError
+from ..core.errors import ConfigurationError, ReproError, StorageError
 from ..obs import hooks as obs_hooks
 from ..obs.metrics import MetricsRegistry
 from . import protocol
@@ -265,6 +265,8 @@ class QuantileService:
         clock: Optional[Any] = None,
         watch_interval_s: Optional[float] = 1.0,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(f"port must be in 0-65535, got {port}")
         self.host = host
         self.port = port
         #: route metadata reported by PING: which cluster node this

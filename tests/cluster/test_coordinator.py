@@ -36,6 +36,9 @@ class TestValidation:
             ClusterCoordinator(nodes=2, replication=3)
         with pytest.raises(ClusterConfigError, match="replication"):
             ClusterCoordinator(nodes=2, replication=0)
+        # node i listens on base_port + i, which must stay a TCP port
+        with pytest.raises(ClusterConfigError, match="0-65535"):
+            ClusterCoordinator(nodes=2, replication=1, base_port=65535)
 
 
 class TestLifecycle:

@@ -117,6 +117,21 @@ class TestValidation:
         with pytest.raises(ClusterConfigError, match="JSON object"):
             ClusterManifest.load(str(arr))
 
+    def test_rejects_ports_outside_the_tcp_range(self):
+        """A port past 65535 would be dialled modulo 65536 (70000 as
+        4464), so a manifest naming one is refused on load and on
+        validate."""
+        raw = three_nodes().to_dict()
+        raw["nodes"][1]["port"] = 70000
+        with pytest.raises(ClusterConfigError, match="0-65535"):
+            NodeSpec.from_dict(raw["nodes"][1])
+        with pytest.raises(ClusterConfigError, match="0-65535"):
+            ClusterManifest.from_dict(raw)
+        m = three_nodes()
+        m.nodes[2].port = -1
+        with pytest.raises(ClusterConfigError, match="0-65535"):
+            m.validate()
+
     def test_malformed_node_entry(self):
         raw = three_nodes().to_dict()
         raw["nodes"][0] = {"id": "x"}

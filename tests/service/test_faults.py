@@ -216,8 +216,8 @@ class TestClientRetry:
             assert client.retries_total >= 1
 
     def test_truncated_response_is_a_connection_fault(self, server):
-        # close (FIN, not RST) mid-ack: recv_frame's mid-frame close is
-        # mapped to ServiceConnectionError internally and retried
+        # close (FIN, not RST) mid-ack: the client reader's mid-frame
+        # close is mapped to ServiceConnectionError internally and retried
         schedule = FaultSchedule(
             [[FaultEvent("truncate", "s2c", after_bytes=2)]]
         )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, StorageError
-from repro.service import protocol
+from repro.service import QuantileClient, protocol
 from repro.service.protocol import MetricConfig, Opcode, Request
 
 
@@ -344,38 +344,47 @@ class TestSyncOpcodes:
             protocol.decode_response(Opcode.SYNCPULL, body[:-5])
 
 
-class TestFraming:
-    def test_socket_roundtrip(self):
-        a, b = socket.socketpair()
-        try:
-            payload = protocol.encode_request(
-                Request(
-                    opcode=Opcode.INGEST,
-                    name="m",
-                    values=np.arange(100.0),
-                )
+class TestClientFrameReader:
+    """The client's buffered frame reader, fed by a hand-driven peer."""
+
+    @pytest.fixture
+    def pair(self):
+        """``(peer, client)``: the accepted server-side socket and a
+        :class:`QuantileClient` connected to it."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = QuantileClient(
+                "127.0.0.1", listener.getsockname()[1], timeout=5.0
             )
-            protocol.send_frame(a, payload)
-            assert protocol.recv_frame(b) == payload
-        finally:
-            a.close()
-            b.close()
-
-    def test_oversized_length_prefix_rejected(self):
-        a, b = socket.socketpair()
+            peer, _ = listener.accept()
         try:
-            a.sendall(struct.pack("<I", protocol.MAX_FRAME_BYTES + 1))
-            with pytest.raises(StorageError, match="frame"):
-                protocol.recv_frame(b)
+            yield peer, client
         finally:
-            a.close()
-            b.close()
+            peer.close()
+            client.close()
 
-    def test_closed_peer_raises(self):
-        a, b = socket.socketpair()
-        a.close()
-        try:
-            with pytest.raises((StorageError, OSError)):
-                protocol.recv_frame(b)
-        finally:
-            b.close()
+    def test_socket_roundtrip(self, pair):
+        peer, client = pair
+        payload = protocol.encode_request(
+            Request(
+                opcode=Opcode.INGEST,
+                name="m",
+                values=np.arange(100.0),
+            )
+        )
+        # two frames in one send: the second waits in the buffer
+        peer.sendall(protocol.frame(payload) + protocol.frame(b"next"))
+        assert client._recv_frame_buffered() == payload
+        assert client._recv_frame_buffered() == b"next"
+
+    def test_oversized_length_prefix_rejected(self, pair):
+        peer, client = pair
+        peer.sendall(struct.pack("<I", protocol.MAX_FRAME_BYTES + 1))
+        with pytest.raises(StorageError, match="frame"):
+            client._recv_frame_buffered()
+
+    def test_closed_peer_raises(self, pair):
+        peer, client = pair
+        peer.sendall(protocol.frame(b"truncated")[:6])
+        peer.close()
+        with pytest.raises(StorageError, match="mid-frame"):
+            client._recv_frame_buffered()

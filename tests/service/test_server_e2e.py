@@ -44,6 +44,16 @@ class TestBasics:
             assert n == 1000
             assert abs(values[0] - 500) <= max(bound, 0.02 * 1000)
 
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_ports_outside_the_tcp_range_are_refused(self, port):
+        # the resolver takes a port modulo 65536: 70000 would be 4464
+        from repro.service import QuantileService
+
+        with pytest.raises(ConfigurationError, match="0-65535"):
+            QuantileService(port=port)
+        with pytest.raises(ConfigurationError, match="0-65535"):
+            QuantileClient("127.0.0.1", port, timeout=1.0, max_retries=0)
+
     def test_unknown_metric_is_clean_error(self, server):
         with client_for(server) as client:
             with pytest.raises(ConfigurationError, match="unknown metric"):

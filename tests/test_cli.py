@@ -214,6 +214,81 @@ class TestExitCodeConsistency:
         assert "connection failed" in capsys.readouterr().err
 
 
+class TestServeParser:
+    """``repro serve`` parses with its own parser; the full parser keeps
+    a ``serve`` subparser for ``repro --help``.  The two must not drift."""
+
+    VERBS = (
+        "plan", "generate", "quantile", "histogram", "describe", "serve",
+        "client", "watch", "stats", "cluster",
+    )
+
+    @staticmethod
+    def _run(parse, argv, capsys):
+        """``(exit code, stdout, stderr)`` of ``parse(argv)``, which must
+        exit: ``main`` or a parser's ``parse_args``."""
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exit_info.value.code, out, err
+
+    def test_help_is_the_full_parsers_serve_help(self, capsys):
+        from repro.cli import build_serve_parser
+        from repro.commands import build_parser
+
+        alone = build_serve_parser()
+        full = self._run(
+            build_parser().parse_args, ["serve", "--help"], capsys
+        )
+        assert full == (0, alone.format_help(), "")
+        assert self._run(main, ["serve", "--help"], capsys) == full
+
+    def test_same_usage_error(self, capsys):
+        from repro.cli import build_serve_parser
+        from repro.commands import build_parser
+
+        full = self._run(
+            build_parser().parse_args, ["serve", "--port", "x"], capsys
+        )
+        alone = self._run(
+            build_serve_parser().parse_args, ["--port", "x"], capsys
+        )
+        assert full == alone
+        assert self._run(main, ["serve", "--port", "x"], capsys) == full
+        assert full[0] == 2 and "invalid int value: 'x'" in full[2]
+
+    def test_unknown_serve_argument_is_the_full_parsers_error(self, capsys):
+        from repro.commands import build_parser
+
+        full = self._run(
+            build_parser().parse_args, ["serve", "--bogus"], capsys
+        )
+        assert self._run(main, ["serve", "--bogus"], capsys) == full
+        assert full[0] == 2
+        assert full[2].endswith(
+            "repro: error: unrecognized arguments: --bogus\n"
+        )
+
+    def test_top_level_help_lists_every_verb(self, capsys):
+        out = self._run(main, ["--help"], capsys)[1]
+        listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert listed == list(self.VERBS)
+
+    def test_workers_past_the_last_port_are_refused(
+        self, monkeypatch, capsys
+    ):
+        """Node i listens on --port + i; past 65535 it would wrap.  The
+        refusal comes before any node is spawned."""
+        from repro.cluster import ClusterCoordinator
+
+        def spawn(self, *args, **kwargs):
+            raise AssertionError("nodes spawned")
+
+        monkeypatch.setattr(ClusterCoordinator, "start", spawn)
+        assert main(["serve", "--port", "65535", "--workers", "2"]) == 1
+        assert "0-65535" in capsys.readouterr().err
+
+
 class TestServeAndClient:
     """The CLI client against an in-process server."""
 

@@ -1,12 +1,15 @@
 """What a serving process imports, and the lazy package exports behind it.
 
 Every package ``__init__`` resolves its ``__all__`` on first attribute
-access (:mod:`repro._lazy`), and the CLI imports per command, so an
-idle ``repro serve`` loads the serving modules only -- not the client,
-the fault proxy, the cluster coordinator, the offline front-ends,
-``multiprocessing``, or ``asyncio`` with the ``ssl`` and
+access (:mod:`repro._lazy`), and ``repro serve`` parses with its own
+parser, so an idle ``repro serve`` loads the serving modules only --
+not the other verbs (:mod:`repro.commands`), the cluster package, the
+collapse-tree recorder, the client, the fault proxy, the offline
+front-ends, ``multiprocessing``, or ``asyncio`` with the ``ssl`` and
 ``concurrent.futures`` it pulls in (the server is a ``selectors``
-reactor).  The KLL, Frugal and adaptive engines load with their first
+reactor).  A server run from source compiles every module it loads
+and keeps the code, so the modules' summed source lines are bounded
+too.  The KLL, Frugal and adaptive engines load with their first
 metric, and the Prometheus and memory reports with the first ``STATS``
 that asks for them.
 
@@ -50,10 +53,17 @@ NOT_SERVED = [
     "repro.core.adaptive",
     "repro.obs.exposition",
     "repro.analysis.memory",
+    "repro.core.tree",
+    "repro.cluster",
+    "repro.commands",
 ]
 
 #: ceiling on ``repro.*`` modules an idle ``repro serve`` holds
-MAX_SERVE_MODULES = 30
+MAX_SERVE_MODULES = 27
+
+#: ceiling on the summed source lines of those modules: a server run
+#: from source compiles every one of them at start, and keeps the code
+MAX_SERVE_SOURCE_LINES = 9_529
 
 #: what OpenBLAS reads for its pool size, in order of precedence
 BLAS_THREAD_VARS = (
@@ -75,7 +85,10 @@ PACKAGES = [
 
 _SERVE = """
 import atexit, json, sys
-atexit.register(lambda: print(json.dumps(sorted(sys.modules)), flush=True))
+atexit.register(lambda: print(json.dumps({
+    name: getattr(module, "__file__", None)
+    for name, module in sorted(sys.modules.items())
+}), flush=True))
 from repro.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -102,7 +115,8 @@ def _python(
 
 def _serve(tmp_path, blas_threads: "str | None" = None, work=None):
     """``(modules, threads)`` of a ``repro serve``: every module it
-    imported by its exit, and its thread count at the listening line.
+    imported by its exit (name to source file), and its thread count at
+    the listening line.
     ``work(port)``, when given, drives the server before it stops."""
     proc = _python(
         _SERVE, "serve", "--port", "0", "--data-dir", str(tmp_path / "d"),
@@ -134,6 +148,11 @@ def test_idle_serve_loads_only_serving_modules(tmp_path):
     assert loaded == []
     served = [name for name in modules if name.split(".")[0] == "repro"]
     assert len(served) <= MAX_SERVE_MODULES, served
+    lines = {}
+    for name in served:
+        with open(modules[name], "rb") as fh:
+            lines[name] = fh.read().count(b"\n")
+    assert sum(lines.values()) <= MAX_SERVE_SOURCE_LINES, lines
 
 
 def test_paper_only_server_never_loads_other_engines(tmp_path):
