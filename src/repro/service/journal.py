@@ -1,14 +1,17 @@
 """Append-only ingest journal with torn-tail detection.
 
-Write-ahead discipline: the server appends a record for every accepted
-mutation (metric CREATE, ingest batch) *before* applying it to the
-in-memory sketches, and flushes the file so the bytes survive a process
-kill (``SIGKILL`` keeps OS page-cache writes; only power loss needs the
-optional ``fsync`` mode).  Recovery replays the journal on top of the
-latest snapshot; because the registry's batched bank ingest is
-bit-identical to feeding each sketch its subsequence one record at a
-time (the PR-2 SketchBank property), replay reproduces the pre-crash
-summaries exactly.
+Write-ahead discipline: the server appends a record for every ingest
+batch *before* queueing it for the in-memory sketches; CREATE, WATCH,
+UNWATCH and RESTORE are appended after they apply and before they are
+acknowledged, and only when they changed something.  Each append
+flushes the file so the bytes survive a process kill (``SIGKILL`` keeps
+OS page-cache writes; only power loss needs the optional ``fsync``
+mode).  Recovery replays the journal on top of the latest snapshot,
+each record through the same server method its live request ran;
+because the registry's batched bank ingest is bit-identical to feeding
+each sketch its subsequence one record at a time (the SketchBank
+property, DESIGN.md §7), replay reproduces the pre-crash summaries
+exactly.
 
 File layout (little-endian)::
 

@@ -109,7 +109,7 @@ _FINITE_MSG = (
 class MetricEntry:
     """One named metric: configuration + live sketch + shard placement."""
 
-    __slots__ = ("name", "config", "shard", "bank_id", "sketch", "n_batches")
+    __slots__ = ("name", "config", "shard", "bank_id", "sketch")
 
     def __init__(
         self,
@@ -124,7 +124,6 @@ class MetricEntry:
         self.shard = shard
         self.sketch = sketch
         self.bank_id = bank_id
-        self.n_batches = 0
 
     @property
     def windowed(self) -> bool:
@@ -776,9 +775,7 @@ class SketchRegistry:
         self.apply_shard(entry.shard)
         return entry
 
-    def pending_batches(self, shard: Optional[int] = None) -> int:
-        if shard is not None:
-            return len(self._shards[shard].pending)
+    def pending_batches(self) -> int:
         return sum(len(s.pending) for s in self._shards)
 
     def apply_shard(self, shard_idx: int) -> int:
@@ -801,7 +798,6 @@ class SketchRegistry:
         groups: Dict[int, Tuple[MetricEntry, List[np.ndarray]]] = {}
         for entry, arr, t in pending:
             applied += arr.size
-            entry.n_batches += 1
             if t is not None:
                 # windowed batches go to their own ring, one by one in
                 # arrival order -- each carries its own event time, so

@@ -7,9 +7,9 @@ never touches sketch internals.  The ingest path is::
     frame in -> validate batch -> journal append (WAL) -> enqueue on the
     metric's shard -> ack           (sketch not yet updated)
 
-    end of the reactor round -> drain each woken shard through
-    SketchBank.extend_pairs          (vectorised, batched across
-                                      connections and metrics)
+    end of the reactor round -> drain each woken shard: a paper metric's
+    queued batches as one SketchBank.extend_single run, the shard's
+    Frugal metrics together in one FrugalBank.extend_pairs pass
 
 The reactor is a ``selectors`` loop over non-blocking sockets: the
 listener, every accepted connection and a wakeup socketpair.  Each
@@ -31,14 +31,22 @@ ticks, and shard drains under ``batch_window_s``), then:
   round drains after it, so pipelined INGESTs from every connection that
   was ready are applied by one ``apply_shard`` call.
 
-Each frame is still dispatched individually, in order, through the same
-journal/dedup/ack pipeline, so idempotency-token semantics and the
-journal-order-is-apply-order invariant hold.  Because one thread runs
-everything, every mutation is serial: the journal order *is* the apply
-order, queries never observe a half-applied batch, and snapshots
-capture a consistent image by draining the shard queues first.  Queries
-flush the owning shard's queue synchronously before answering, so a
-client always reads its own acknowledged writes.
+Each frame is still dispatched individually, in order.  Because one
+thread runs everything, every mutation is serial: the journal order
+*is* the apply order, queries never observe a half-applied batch, and
+snapshots capture a consistent image by draining the shard queues
+first.  Queries flush the owning shard's queue synchronously before
+answering, so a client always reads its own acknowledged writes.
+
+One mutation path: each journaled mutation (CREATE, INGEST plain and
+windowed, RESTORE, WATCH, UNWATCH) is one method, run by the live
+request and, on recovery, by its journal record -- the two carry the
+same field names -- so replay feeds every sketch exactly what the live
+server fed it.  A live INGEST is journaled before it is enqueued, the
+other mutations after they apply; a replayed record is journaled no
+second time, takes its seq and event time from the record and is
+applied before the next one.  Every mutating request checks the dedup
+window once, in ``_execute_op``, and records its ack there.
 
 Lifecycle: :meth:`QuantileService.start` recovers and binds, and
 :meth:`QuantileService.serve` runs the reactor until
@@ -85,7 +93,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.errors import ConfigurationError, ReproError, StorageError
 from ..obs import hooks as obs_hooks
@@ -99,6 +107,7 @@ from .journal import (
     UNWATCH_RECORD,
     WATCH_RECORD,
     IngestJournal,
+    JournalRecord,
     read_journal,
 )
 from .metrics import RecentRate, stats_view
@@ -107,6 +116,10 @@ from .rules import RuleSet
 from .snapshot import read_snapshot, write_snapshot
 
 __all__ = ["QuantileService", "ServerThread"]
+
+#: what a mutation reads: a live request or, on recovery, the journal
+#: record it left (the two share their field names)
+_Change = Union[protocol.Request, JournalRecord]
 
 SNAPSHOT_FILE = "snapshot.bin"
 JOURNAL_FILE = "journal.log"
@@ -191,7 +204,8 @@ class _Connection:
         self.need = 4
         #: acks the peer has not taken yet; reading pauses while set
         self.out: Optional[memoryview] = None
-        #: queued-but-unapplied ingest payload (the backpressure bound)
+        #: ingest payload read since the shards last had nothing queued
+        #: (the backpressure bound)
         self.inflight = 0
         #: close once ``out`` is flushed
         self.closing = False
@@ -330,62 +344,22 @@ class QuantileService:
         assert self.data_dir is not None
         os.makedirs(self.data_dir, exist_ok=True)
         seq = 0
-        snapshot_path = self.snapshot_path
-        if snapshot_path and os.path.exists(snapshot_path):
-            seq = read_snapshot(snapshot_path, self.registry, self.rules)
+        if os.path.exists(self.snapshot_path):
+            seq = read_snapshot(self.snapshot_path, self.registry, self.rules)
         journal_path = self.journal_path
-        assert journal_path is not None
         replayed = 0
         if os.path.exists(journal_path):
-            scan = read_journal(journal_path)
-            for rec in scan.records:
-                if rec.seq <= seq:
-                    continue  # already inside the snapshot
-                if rec.type == CREATE_RECORD:
-                    self.registry.create(rec.name, rec.config)
-                    self.registry.dedup.record(rec.token, {"created": True})
-                elif rec.type == INGEST_AT_RECORD:
-                    assert rec.values is not None
-                    # replay at the *journaled* event time, not the
-                    # recovery wall clock: ring placement is a pure
-                    # function of (values, t), so the rebuilt window is
-                    # bit-identical to the pre-crash one
-                    self.registry.ingest_at(rec.name, rec.values, rec.t)
-                    self.registry.dedup.record(
-                        rec.token,
-                        {"seq": rec.seq, "count": int(rec.values.size)},
-                    )
-                elif rec.type == WATCH_RECORD:
-                    added = self.rules.add(
-                        rec.name, rec.metric, rec.phi, rec.rule_op,
-                        rec.threshold,
-                    )
-                    self.registry.dedup.record(rec.token, {"added": added})
-                elif rec.type == UNWATCH_RECORD:
-                    removed = self.rules.remove(rec.name)
-                    self.registry.dedup.record(
-                        rec.token, {"removed": removed}
-                    )
-                elif rec.type == INGEST_RECORD:
-                    assert rec.values is not None
-                    self.registry.ingest(rec.name, rec.values)
-                    # re-arm the dedup window: a client that lost its ack
-                    # to the crash may retry this very batch
-                    self.registry.dedup.record(
-                        rec.token,
-                        {"seq": rec.seq, "count": int(rec.values.size)},
-                    )
-                elif rec.type == RESTORE_RECORD:
-                    # a full-state install subsumes every earlier record
-                    # for the metric: replaying them first and replacing
-                    # wholesale here reproduces the live apply order
-                    replaced = self.registry.install_serialized(
-                        rec.name, rec.config, rec.payload
-                    )
-                    self.registry.dedup.record(
-                        rec.token, {"replaced": replaced, "seq": rec.seq}
-                    )
-                replayed += 1
+            # self.journal opens below, so nothing replayed is journaled
+            # again.  A record is applied even when its token is already
+            # in the dedup window: the live window also held tokens that
+            # were never journaled, so it may have evicted -- and then
+            # legitimately re-applied -- a token this window still holds
+            for rec in read_journal(journal_path).records:
+                if rec.seq > seq:  # else already inside the snapshot
+                    ack = self._REPLAY[rec.type](self, rec, True)
+                    # a client that lost this ack to the crash may retry
+                    self.registry.dedup.record(rec.token, ack)
+                    replayed += 1
         self._m.journal_records_recovered.inc(replayed)
         # opening the journal truncates any torn tail and resumes the
         # sequence after the last surviving record
@@ -707,6 +681,8 @@ class QuantileService:
         if not chunk:
             self._close(conn)
             return
+        if conn.inflight and not self.registry.pending_batches():
+            conn.inflight = 0  # every batch it counted has been applied
         parts = conn.parts
         parts.append(chunk)
         conn.have += len(chunk)
@@ -805,7 +781,17 @@ class QuantileService:
     def _dispatch(self, payload: bytes) -> bytes:
         try:
             req = protocol.decode_request(payload)
-            return protocol.encode_ok(req.opcode, self._execute(req))
+            # every opcode, not just queries, lands in its
+            # service.op_latency_ms{op} sketch, so STATS reports
+            # p50/p90/p99 per operation with a certified rank bound
+            start = time.perf_counter()
+            try:
+                body = self._execute_op(req)
+            finally:
+                self._m.op_latency[req.opcode].observe(
+                    (time.perf_counter() - start) * 1000.0
+                )
+            return protocol.encode_ok(req.opcode, body)
         except ReproError as exc:
             return protocol.encode_error(str(exc))
         except Exception as exc:  # noqa: BLE001 - a bug must not kill
@@ -813,21 +799,6 @@ class QuantileService:
             # socket mid-stream, which a resilient client reads as a
             # transport fault and retries forever against the same bug
             return protocol.encode_error(f"internal error: {exc!r}")
-
-    def _execute(self, req: protocol.Request) -> Dict[str, Any]:
-        """Run one request, self-metering its wall time per opcode.
-
-        Every opcode -- not just queries -- lands in its
-        ``service.op_latency_ms{op}`` sketch, so STATS reports p50/p90/p99
-        latency per operation with a certified rank bound.
-        """
-        start = time.perf_counter()
-        try:
-            return self._execute_op(req)
-        finally:
-            self._m.op_latency[req.opcode].observe(
-                (time.perf_counter() - start) * 1000.0
-            )
 
     def uptime_s(self) -> float:
         """Seconds since this server was constructed."""
@@ -839,8 +810,17 @@ class QuantileService:
 
     def _execute_op(self, req: protocol.Request) -> Dict[str, Any]:
         op = req.opcode
-        if op == protocol.Opcode.INGEST:
-            return self._do_ingest(req)
+        mutation = self._MUTATIONS.get(op)
+        if mutation is not None:
+            if req.token:
+                hit = self.registry.dedup.get(req.token)
+                if hit is not None:
+                    # a retry whose ack was lost: replay the recorded
+                    # ack, apply nothing (exactly-once)
+                    return hit
+            result = mutation(self, req)
+            self.registry.dedup.record(req.token, result)
+            return result
         if op == protocol.Opcode.QUERY:
             start = time.perf_counter()
             self.registry.apply_shard(self.registry.get(req.name).shard)
@@ -858,17 +838,6 @@ class QuantileService:
                 "error_bound": bound,
                 "n": n,
             }
-        if op == protocol.Opcode.CREATE:
-            if req.token:
-                hit = self.registry.dedup.get(req.token)
-                if hit is not None:
-                    return hit
-            _entry, created = self.registry.create(req.name, req.config)
-            if created and self.journal is not None:
-                self.journal.append_create(req.name, req.config, req.token)
-            result = {"created": created}
-            self.registry.dedup.record(req.token, result)
-            return result
         if op == protocol.Opcode.LIST:
             return {"metrics": self.registry.describe_metrics()}
         if op == protocol.Opcode.FETCH:
@@ -876,22 +845,6 @@ class QuantileService:
             return {"payload": self.registry.fetch_serialized(req.name)}
         if op == protocol.Opcode.SYNCPULL:
             return self._do_syncpull(req)
-        if op == protocol.Opcode.RESTORE:
-            return self._do_restore(req)
-        if op == protocol.Opcode.SNAPSHOT:
-            if self.journal is None:
-                raise StorageError(
-                    "durability is disabled (server started without "
-                    "--data-dir); nothing to snapshot"
-                )
-            if req.token:
-                hit = self.registry.dedup.get(req.token)
-                if hit is not None:
-                    return hit
-            path = self._write_snapshot()
-            result = {"seq": self.journal.seq, "path": path}
-            self.registry.dedup.record(req.token, result)
-            return result
         if op == protocol.Opcode.DRAIN:
             self.registry.apply_all()
             return {"seq": self.journal.seq if self.journal else 0}
@@ -918,33 +871,6 @@ class QuantileService:
                 "n_metrics": len(self.registry),
                 "elements": sum(c.value for c in self._m.ingest_elements),
             }
-        if op == protocol.Opcode.WATCH:
-            if req.token:
-                hit = self.registry.dedup.get(req.token)
-                if hit is not None:
-                    return hit
-            added = self.rules.add(
-                req.name, req.metric, req.phi, req.rule_op, req.threshold
-            )
-            if added and self.journal is not None:
-                self.journal.append_watch(
-                    req.name, req.metric, req.phi, req.rule_op,
-                    req.threshold, token=req.token,
-                )
-            result = {"added": added}
-            self.registry.dedup.record(req.token, result)
-            return result
-        if op == protocol.Opcode.UNWATCH:
-            if req.token:
-                hit = self.registry.dedup.get(req.token)
-                if hit is not None:
-                    return hit
-            removed = self.rules.remove(req.name)
-            if removed and self.journal is not None:
-                self.journal.append_unwatch(req.name, token=req.token)
-            result = {"removed": removed}
-            self.registry.dedup.record(req.token, result)
-            return result
         if op == protocol.Opcode.ALERTS:
             if req.detail:
                 # evaluate-now: one on-demand scheduler tick, same code
@@ -968,9 +894,9 @@ class QuantileService:
         ``after_seq`` state must reproduce the payload bit-for-bit.
 
         ``rebase`` is set when the tail cannot be produced (no journal,
-        rotation discarded it, or a RESTORE record sits inside it): the
-        caller must discard its partial state and install the full
-        payload instead.
+        rotation discarded it, or a RESTORE or windowed INGEST record
+        sits inside it): the caller must discard its partial state and
+        install the full payload instead.
         """
         entry = self.registry.get(req.name)
         self.registry.apply_shard(entry.shard)
@@ -979,11 +905,9 @@ class QuantileService:
         rebase = False
         records: List[Any] = []
         if req.after_seq:
-            journal_path = self.journal_path
             if (
                 self.journal is None
-                or journal_path is None
-                or not os.path.exists(journal_path)
+                or not os.path.exists(self.journal.path)
                 or self.journal.start_seq > req.after_seq
                 or req.after_seq > seq_now
             ):
@@ -992,21 +916,16 @@ class QuantileService:
                 # safe mid-serve: the reactor runs one request at a time,
                 # and appends flush whole records, so the file holds a
                 # valid prefix ending at seq_now
-                scan = read_journal(journal_path)
+                scan = read_journal(self.journal.path)
                 for rec in scan.records:
                     if rec.name != req.name or rec.seq <= req.after_seq:
                         continue
-                    if rec.type == RESTORE_RECORD:
-                        # the tail is not pure deltas: this donor was
-                        # itself re-synced past the caller's position
-                        rebase = True
-                        records = []
-                        break
-                    if rec.type == INGEST_AT_RECORD:
-                        # plain SYNCPULL records carry no event times;
-                        # replaying a windowed batch without its stamp
-                        # would place it in the wrong bucket.  Full
-                        # payload install is always correct.
+                    if rec.type in (RESTORE_RECORD, INGEST_AT_RECORD):
+                        # a RESTORE means the tail is not pure deltas
+                        # (this donor was itself re-synced past the
+                        # caller's position); SYNCPULL records carry no
+                        # event times, so a windowed batch would land in
+                        # the wrong bucket.  A full install is correct.
                         rebase = True
                         records = []
                         break
@@ -1020,75 +939,110 @@ class QuantileService:
             "records": records,
         }
 
-    def _do_restore(self, req: protocol.Request) -> Dict[str, Any]:
+    # -- mutations: one method per opcode; replay=True runs a record ------
+
+    def _create(self, req: _Change, replay: bool = False) -> Dict[str, Any]:
+        _entry, created = self.registry.create(req.name, req.config)
+        if created and self.journal is not None:
+            self.journal.append_create(req.name, req.config, req.token)
+        return {"created": created}
+
+    def _ingest(self, req: _Change, replay: bool = False) -> Dict[str, Any]:
+        entry = self.registry.get(req.name)  # unknown metric -> error frame
+        arr = self.registry.coerce_batch(req.values)
+        journal = self.journal
+        if replay:
+            # the record type, not the metric, picks the path: a record
+            # that does not match its metric raises, as it did live
+            windowed, t, seq = req.type == INGEST_AT_RECORD, req.t, req.seq
+        elif arr.size == 0:
+            return {"seq": journal.seq if journal else 0, "count": 0}
+        else:
+            # a windowed batch is stamped once, here, and journaled with
+            # its stamp: ring placement is then a pure function of the
+            # journal, so crash replay rebuilds the same window
+            windowed, seq = entry.windowed, 0
+            t = float(self._clock()) if windowed else 0.0
+            if journal is not None and windowed:
+                seq = journal.append_ingest_at(
+                    req.name, arr, t, token=req.token
+                )
+            elif journal is not None:
+                seq = journal.append_ingest(req.name, arr, token=req.token)
+        if windowed:
+            self.registry.enqueue_at(req.name, arr, t, validated=True)
+        else:
+            self.registry.enqueue(req.name, arr, validated=True)
+        if replay:
+            self.registry.apply_shard(entry.shard)
+        else:
+            m = self._m
+            m.ingest_batches[entry.shard].inc()
+            m.ingest_elements[entry.shard].inc(arr.size)
+            m.batch_size.observe(arr.size)
+            self._recent.add(arr.size)
+            self._wake_shard(entry.shard)
+        return {"seq": seq, "count": int(arr.size)}
+
+    def _restore(self, req: _Change, replay: bool = False) -> Dict[str, Any]:
         """Install a metric's full state from a donor payload."""
-        if req.token:
-            hit = self.registry.dedup.get(req.token)
-            if hit is not None:
-                return hit
-        # flush pending batches first so the live path matches recovery
-        # replay: records journaled before this RESTORE are applied and
-        # then subsumed wholesale by the install
+        # batches journaled before this RESTORE apply first, in journal
+        # order, and the install then subsumes them wholesale
         self.registry.apply_all()
         replaced = self.registry.install_serialized(
             req.name, req.config, req.payload
         )
+        seq = req.seq if replay else 0
         if self.journal is not None:
             seq = self.journal.append_restore(
                 req.name, req.config, req.payload, req.token
             )
-        else:
-            seq = 0
-        result = {"replaced": replaced, "seq": seq}
-        self.registry.dedup.record(req.token, result)
-        return result
+        return {"replaced": replaced, "seq": seq}
 
-    def _do_ingest(self, req: protocol.Request) -> Dict[str, Any]:
-        assert req.values is not None
-        if req.token:
-            hit = self.registry.dedup.get(req.token)
-            if hit is not None:
-                # a retry of a batch whose ack was lost: replay the
-                # recorded ack, apply nothing (exactly-once)
-                return hit
-        entry = self.registry.get(req.name)  # unknown metric -> error frame
-        arr = self.registry.coerce_batch(req.values)
-        if arr.size == 0:
-            result = {
-                "seq": self.journal.seq if self.journal else 0,
-                "count": 0,
-            }
-            self.registry.dedup.record(req.token, result)
-            return result
-        if entry.windowed:
-            # stamp the arrival time once, here, and journal it with the
-            # batch: ring placement is then a pure function of the
-            # journal, so crash replay rebuilds the same window
-            t = float(self._clock())
-            if self.journal is not None:
-                seq = self.journal.append_ingest_at(
-                    req.name, arr, t, token=req.token
-                )
-            else:
-                seq = 0
-            self.registry.enqueue_at(req.name, arr, t, validated=True)
-        else:
-            if self.journal is not None:
-                seq = self.journal.append_ingest(
-                    req.name, arr, token=req.token
-                )
-            else:
-                seq = 0
-            self.registry.enqueue(req.name, arr, validated=True)
-        m = self._m
-        m.ingest_batches[entry.shard].inc()
-        m.ingest_elements[entry.shard].inc(arr.size)
-        m.batch_size.observe(arr.size)
-        self._recent.add(arr.size)
-        self._wake_shard(entry.shard)
-        result = {"seq": seq, "count": int(arr.size)}
-        self.registry.dedup.record(req.token, result)
-        return result
+    def _watch(self, req: _Change, replay: bool = False) -> Dict[str, Any]:
+        added = self.rules.add(
+            req.name, req.metric, req.phi, req.rule_op, req.threshold
+        )
+        if added and self.journal is not None:
+            self.journal.append_watch(
+                req.name, req.metric, req.phi, req.rule_op, req.threshold,
+                token=req.token,
+            )
+        return {"added": added}
+
+    def _unwatch(self, req: _Change, replay: bool = False) -> Dict[str, Any]:
+        removed = self.rules.remove(req.name)
+        if removed and self.journal is not None:
+            self.journal.append_unwatch(req.name, token=req.token)
+        return {"removed": removed}
+
+    def _snapshot(self, req: protocol.Request) -> Dict[str, Any]:
+        if self.journal is None:
+            raise StorageError(
+                "durability is disabled (server started without "
+                "--data-dir); nothing to snapshot"
+            )
+        path = self._write_snapshot()
+        return {"seq": self.journal.seq, "path": path}
+
+    #: the mutation each opcode of ``protocol.MUTATING_OPCODES`` runs
+    _MUTATIONS = {
+        protocol.Opcode.CREATE: _create,
+        protocol.Opcode.INGEST: _ingest,
+        protocol.Opcode.RESTORE: _restore,
+        protocol.Opcode.WATCH: _watch,
+        protocol.Opcode.UNWATCH: _unwatch,
+        protocol.Opcode.SNAPSHOT: _snapshot,
+    }
+    #: the mutation each journal record type replays through
+    _REPLAY = {
+        CREATE_RECORD: _create,
+        INGEST_RECORD: _ingest,
+        INGEST_AT_RECORD: _ingest,
+        RESTORE_RECORD: _restore,
+        WATCH_RECORD: _watch,
+        UNWATCH_RECORD: _unwatch,
+    }
 
 
 class ServerThread:

@@ -405,9 +405,28 @@ class TestServerResilience:
             with resilient_client(srv.port) as client:
                 client.create("t/m", kind="adaptive", eps=0.02)
                 for i in range(64):
+                    client.ingest_nowait("t/m", np.arange(256.0))
+                client.flush()
+                stats = client.stats()
+                _, _, n = client.query("t/m", [0.5])
+            assert stats["resilience"]["backpressure_flushes"] >= 1
+            assert n == 64 * 256
+
+    def test_applied_batches_do_not_count_toward_backpressure(
+        self, tmp_path
+    ):
+        # each synchronous ingest is applied at the end of its reactor
+        # round, so no more than one 2 KiB batch is ever queued
+        with ServerThread(
+            data_dir=str(tmp_path / "data"), n_shards=2,
+            snapshot_interval_s=None, max_inflight_bytes=4096,
+        ) as srv:
+            with resilient_client(srv.port) as client:
+                client.create("t/m", kind="adaptive", eps=0.02)
+                for i in range(64):
                     client.ingest("t/m", np.arange(256.0))
                 stats = client.stats()
-            assert stats["resilience"]["backpressure_flushes"] >= 1
+            assert stats["resilience"]["backpressure_flushes"] == 0
 
     def test_graceful_stop_drains_and_recovers(self, tmp_path):
         data_dir = str(tmp_path / "data")

@@ -280,6 +280,13 @@ class TestSyncOpcodes:
         assert Opcode.RESTORE in protocol.MUTATING_OPCODES
         assert Opcode.SYNCPULL not in protocol.MUTATING_OPCODES
 
+    def test_server_dedups_exactly_the_mutating_opcodes(self):
+        # the server's one dedup guard covers the opcodes a client
+        # resends with their token after a lost ack, and no others
+        from repro.service.server import QuantileService
+
+        assert set(QuantileService._MUTATIONS) == protocol.MUTATING_OPCODES
+
     def test_syncpull_response_roundtrip(self):
         records = [
             (8, 101, np.arange(4.0)),

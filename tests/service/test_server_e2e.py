@@ -195,6 +195,73 @@ class TestCrashRecovery:
         finally:
             srv2.stop()
 
+    def test_every_mutation_kind_recovers_with_its_ack(self, tmp_path):
+        # journal only (no snapshot): every mutation kind is rebuilt by
+        # replay, and every token keeps the ack it got before the crash
+        kwargs = dict(
+            data_dir=str(tmp_path / "data"), n_shards=2,
+            snapshot_interval_s=None, watch_interval_s=None,
+            clock=lambda: 1_000.0,  # windowed stamps and fetches agree
+        )
+        rng = np.random.default_rng(11)
+        creates = {
+            "t/fixed": dict(kind="fixed", eps=0.02, n=20_000),
+            "t/adaptive": dict(kind="adaptive", eps=0.02),
+            "t/kll": dict(engine="kll", eps=0.02),
+            "t/frugal": dict(engine="frugal"),
+            "t/window": dict(eps=0.02, window="60s"),
+        }
+        tokens = iter(range(1_001, 2_000))
+        sent, acks = [], []  # (client method, args, kwargs with token)
+
+        def send(client, method, *args, **kw):
+            kw["token"] = next(tokens)
+            sent.append((method, args, kw))
+            acks.append(getattr(client, method)(*args, **kw))
+
+        srv = ServerThread(**kwargs).start()
+        try:
+            with client_for(srv) as client:
+                for name, spec in creates.items():
+                    send(client, "create", name, **spec)
+                for _ in range(3):
+                    for name in creates:
+                        send(client, "ingest", name, rng.normal(size=300))
+                send(client, "watch_add", "r/hot", "t/fixed", 0.5, 9.0)
+                send(client, "watch_add", "r/cold", "t/kll", 0.9, -9.0,
+                     op="<")
+                send(client, "watch_remove", "r/cold")
+                send(
+                    client, "restore", "t/copy", kind="fixed",
+                    epsilon=0.02, n=20_000, policy="new", engine="paper",
+                    payload=client.fetch_raw("t/fixed"),
+                )
+                send(client, "ingest", "t/copy", rng.normal(size=300))
+                names = [m["name"] for m in client.list_metrics()]
+                before = {name: client.fetch_raw(name) for name in names}
+                rules = client.alerts()
+        finally:
+            srv.stop(graceful=False)
+
+        assert len(names) == 6 and [r["rule_id"] for r in rules] == ["r/hot"]
+        srv2 = ServerThread(**kwargs).start()
+        try:
+            with client_for(srv2) as client:
+                assert {n: client.fetch_raw(n) for n in names} == before
+                resent = [
+                    getattr(client, method)(*args, **kw)
+                    for method, args, kw in sent
+                ]
+                assert resent == acks
+                assert {n: client.fetch_raw(n) for n in names} == before
+                assert client.alerts() == rules
+                stats = client.stats()
+                assert stats["durability"]["journal_records_recovered"] == (
+                    len(sent)
+                )
+        finally:
+            srv2.stop()
+
     def test_recovered_server_keeps_ingesting(self, tmp_path):
         data_dir = str(tmp_path / "data")
         srv = ServerThread(data_dir=data_dir, snapshot_interval_s=None)

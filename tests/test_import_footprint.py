@@ -63,7 +63,7 @@ MAX_SERVE_MODULES = 27
 
 #: ceiling on the summed source lines of those modules: a server run
 #: from source compiles every one of them at start, and keeps the code
-MAX_SERVE_SOURCE_LINES = 9_529
+MAX_SERVE_SOURCE_LINES = 9_482
 
 #: what OpenBLAS reads for its pool size, in order of precedence
 BLAS_THREAD_VARS = (
